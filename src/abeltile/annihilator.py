@@ -27,14 +27,9 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .cyclotomic import (
-    is_minimal_vanishing,
-    mann_bound,
-    retraction_coeff0,
-    sum_roots_is_zero,
-)
+from .cyclotomic import is_minimal_vanishing, mann_bound, retraction_coeff0
 from .errors import CapacityError, InputError
 from .groups import FinMap, GroupSpec, PeriodicMap, convolve_periodic, l1_norm, unit_expansion
 from .qzlinear import ZERO, IntMatrix, RationalMod1, qz_solution_set
@@ -71,10 +66,7 @@ class CharacterVector:
 
     @property
     def order(self) -> int:
-        out = 1
-        for e in self.etas:
-            out = out * e.denominator // math.gcd(out, e.denominator)
-        return out
+        return math.lcm(*(e.denominator for e in self.etas))
 
     def phase(self, coords: Sequence[int]) -> RationalMod1:
         x = self.group.canonicalize(tuple(coords))
@@ -156,10 +148,6 @@ _FLOAT_TABLE_CAP = 20000
 _PREFILTER_TOL = 1e-7
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 def _solve_partition(group: GroupSpec, types, partition):
     """Try one partition; return (etas, xi0s, block omegas) or None.
 
@@ -217,11 +205,7 @@ def _solve_partition(group: GroupSpec, types, partition):
         for vec in sol.shift_vectors
     ]
 
-    denom = 1
-    for b in base:
-        denom = _lcm(denom, b.denominator)
-    for d in sol.shift_moduli:
-        denom = _lcm(denom, d)
+    denom = math.lcm(*(b.denominator for b in base), *sol.shift_moduli)
     base_num = [b.numerator * (denom // b.denominator) for b in base]
     shift_num = [
         [(sv * (denom // d)) % denom for sv in svec]
@@ -261,15 +245,8 @@ def _solve_partition(group: GroupSpec, types, partition):
             tuple(RationalMod1(nums[p], denom) for p in range(lo, hi)) for lo, hi in spans
         ]
         if all(is_minimal_vanishing(om) for om in omegas):
-            x = list(sol.particular)
-            for t, vec, d in zip(ts, sol.shift_vectors, sol.shift_moduli):
-                if t:
-                    for j, vj in enumerate(vec):
-                        if vj:
-                            x[j] = x[j] + RationalMod1(t * vj, d)
-            etas = tuple(x[:r])
-            xi0s = tuple(x[r:])
-            return etas, xi0s, omegas
+            x = sol.at(ts)
+            return x[:r], x[r:], omegas
     return None
 
 

@@ -10,6 +10,7 @@ for scripting::
     2  UNKNOWN (budget exhausted)
     3  malformed input
     4  capacity cap refused the instance
+    5  internal error (a crash, never a verdict)
 
 Problem file schema (all sections except "group" and "f" optional)::
 
@@ -30,10 +31,11 @@ of rows; torsion coordinates may exceed their modulus and are canonicalized.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
+import traceback
 from typing import List, Optional, Sequence, Tuple
 
 from .annihilator import (
@@ -51,7 +53,7 @@ from .structure import coset_slice, dilation_check
 __all__ = ["ProblemFile", "parse_problem", "run", "main"]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ProblemFile:
     group: GroupSpec
     f: FinMap
@@ -79,6 +81,17 @@ def _want_int(obj, path: str, minimum: Optional[int] = None) -> int:
     return obj
 
 
+def _fields(obj, path: str, required: Sequence[str] = (), optional: Sequence[str] = ()) -> None:
+    """Check that ``obj`` is an object with only the named fields, all of
+    ``required`` among them."""
+    _want(obj, path, dict, "an object")
+    extra = set(obj) - set(required) - set(optional)
+    if extra:
+        raise InputError(f"{path}: unknown field {sorted(extra)[0]!r}")
+    if any(name not in obj for name in required):
+        raise InputError(f"{path}: needs " + " and ".join(map(repr, required)))
+
+
 def _flat_ints(obj, path: str) -> List[int]:
     _want(obj, path, list, "a list")
     if obj and all(isinstance(row, list) for row in obj):
@@ -92,10 +105,7 @@ def _flat_ints(obj, path: str) -> List[int]:
 
 
 def _parse_group(obj) -> GroupSpec:
-    _want(obj, "group", dict, "an object")
-    extra = set(obj) - {"free_rank", "torsion"}
-    if extra:
-        raise InputError(f"group: unknown field {sorted(extra)[0]!r}")
+    _fields(obj, "group", optional=("free_rank", "torsion"))
     free_rank = _want_int(obj.get("free_rank", 0), "group.free_rank", 0)
     torsion = obj.get("torsion", [])
     _want(torsion, "group.torsion", list, "a list")
@@ -109,12 +119,7 @@ def _parse_finmap(obj, group: GroupSpec, path: str) -> FinMap:
     _want(obj, path, list, "a list of terms")
     pairs = []
     for i, term in enumerate(obj):
-        _want(term, f"{path}[{i}]", dict, "an object")
-        extra = set(term) - {"elem", "coeff"}
-        if extra:
-            raise InputError(f"{path}[{i}]: unknown field {sorted(extra)[0]!r}")
-        if "elem" not in term or "coeff" not in term:
-            raise InputError(f"{path}[{i}]: needs 'elem' and 'coeff'")
+        _fields(term, f"{path}[{i}]", required=("elem", "coeff"))
         elem = _want(term["elem"], f"{path}[{i}].elem", list, "a coordinate list")
         if len(elem) != group.rank:
             raise InputError(
@@ -129,12 +134,7 @@ def _parse_finmap(obj, group: GroupSpec, path: str) -> FinMap:
 
 
 def _parse_periodic(obj, group: GroupSpec, path: str) -> PeriodicMap:
-    _want(obj, path, dict, "an object")
-    extra = set(obj) - {"period", "values"}
-    if extra:
-        raise InputError(f"{path}: unknown field {sorted(extra)[0]!r}")
-    if "period" not in obj or "values" not in obj:
-        raise InputError(f"{path}: needs 'period' and 'values'")
+    _fields(obj, path, required=("period", "values"))
     period = _want_int(obj["period"], f"{path}.period", 1)
     values = _flat_ints(obj["values"], f"{path}.values")
     expected = group.domain_size(period)
@@ -147,12 +147,7 @@ def _parse_periodic(obj, group: GroupSpec, path: str) -> PeriodicMap:
 
 
 def _parse_cert(obj, path: str) -> TorusAssignment:
-    _want(obj, path, dict, "an object")
-    extra = set(obj) - {"q", "bits"}
-    if extra:
-        raise InputError(f"{path}: unknown field {sorted(extra)[0]!r}")
-    if "q" not in obj or "bits" not in obj:
-        raise InputError(f"{path}: needs 'q' and 'bits'")
+    _fields(obj, path, required=("q", "bits"))
     q = _want_int(obj["q"], f"{path}.q", 1)
     bits = _flat_ints(obj["bits"], f"{path}.bits")
     if len(bits) != q * q:
@@ -163,27 +158,14 @@ def _parse_cert(obj, path: str) -> TorusAssignment:
 def _parse_budget(obj) -> SearchBudget:
     if obj is None:
         return SearchBudget()
-    _want(obj, "budget", dict, "an object")
-    base = SearchBudget()
-    known = {"max_q", "max_box_radius", "max_nodes"}
-    extra = set(obj) - known
-    if extra:
-        raise InputError(f"budget: unknown field {sorted(extra)[0]!r}")
-    kwargs = {
-        name: _want_int(obj[name], f"budget.{name}", 1)
-        for name in known
-        if name in obj
-    }
-    return SearchBudget(**{**base.__dict__, **kwargs})
+    names = ("max_q", "max_box_radius", "max_nodes")
+    _fields(obj, "budget", optional=names)
+    given = {name: _want_int(obj[name], f"budget.{name}", 1) for name in names if name in obj}
+    return SearchBudget(**given)
 
 
 def _parse_dilation(obj) -> Tuple[int, Tuple[int, ...]]:
-    _want(obj, "dilation", dict, "an object")
-    extra = set(obj) - {"q", "r_list"}
-    if extra:
-        raise InputError(f"dilation: unknown field {sorted(extra)[0]!r}")
-    if "q" not in obj or "r_list" not in obj:
-        raise InputError("dilation: needs 'q' and 'r_list'")
+    _fields(obj, "dilation", required=("q", "r_list"))
     q = _want_int(obj["q"], "dilation.q", 1)
     rl = _want(obj["r_list"], "dilation.r_list", list, "a list")
     r_list = tuple(_want_int(r, f"dilation.r_list[{i}]", 1) for i, r in enumerate(rl))
@@ -253,9 +235,9 @@ def _parse_vec(text: str, flag: str) -> Tuple[int, int]:
 # subcommands
 
 
-def _cmd_decide_zero(ns) -> Tuple[dict, int]:
+def _cmd_decide_annihilator(ns) -> Tuple[dict, int]:
     problem = _load(ns.problem)
-    verdict = decide_zero_annihilator(problem.group, problem.f, cap=ns.cap_n)
+    verdict = ns.decide(problem.group, problem.f, cap=ns.cap_n)
     payload = {"command": ns.command, "answer": verdict.answer}
     if verdict.is_yes:
         chi = verdict.witness_character
@@ -275,33 +257,14 @@ def _cmd_decide_zero(ns) -> Tuple[dict, int]:
     return payload, 0 if verdict.is_yes else 1
 
 
-def _cmd_decide_levelshift(ns) -> Tuple[dict, int]:
-    problem = _load(ns.problem)
-    verdict = decide_level_shift(problem.group, problem.f, cap=ns.cap_n)
-    payload = {"command": ns.command, "answer": verdict.answer}
-    if verdict.is_yes:
-        wit = verdict.witness_map
-        payload["certificate"] = {
-            "character": [_rat(e) for e in verdict.witness_character.etas],
-            "witness": {"period": wit.period, "values": list(wit.values)},
-        }
-    return payload, 0 if verdict.is_yes else 1
-
-
 def _cmd_decide_multitile(ns) -> Tuple[dict, int]:
     problem = _load(ns.problem)
     if problem.g is None:
         raise InputError("decide-multitile needs a 'g' section")
-    budget = problem.budget
-    overrides = {}
-    if ns.max_q is not None:
-        overrides["max_q"] = ns.max_q
-    if ns.max_box is not None:
-        overrides["max_box_radius"] = ns.max_box
-    if ns.budget_nodes is not None:
-        overrides["max_nodes"] = ns.budget_nodes
-    if overrides:
-        budget = SearchBudget(**{**budget.__dict__, **overrides})
+    flags = {"max_q": ns.max_q, "max_box_radius": ns.max_box, "max_nodes": ns.budget_nodes}
+    budget = dataclasses.replace(
+        problem.budget, **{name: v for name, v in flags.items() if v is not None}
+    )
     verdict = decide_multitile(problem.f, problem.g, budget)
     payload = {
         "command": ns.command,
@@ -405,14 +368,17 @@ def _build_parser() -> _Parser:
         p.add_argument("--json-out", metavar="PATH", help="also write the verdict here")
         return p
 
-    p = add("decide-zero", _cmd_decide_zero, help="does f*a = 0 have a non-zero solution?")
-    p.add_argument("problem")
-    p.add_argument("--cap-n", type=int, default=8, help="l1-norm capacity cap")
-
-    p = add("decide-levelshift", _cmd_decide_levelshift,
-            help="does f*a = const have a non-constant solution?")
-    p.add_argument("problem")
-    p.add_argument("--cap-n", type=int, default=8, help="l1-norm capacity cap")
+    # the deciders are looked up here, at call time, so a rebound module
+    # global (a wrapped decider) is the one that runs
+    for name, decide, what in (
+        ("decide-zero", decide_zero_annihilator, "does f*a = 0 have a non-zero solution?"),
+        ("decide-levelshift", decide_level_shift,
+         "does f*a = const have a non-constant solution?"),
+    ):
+        p = add(name, _cmd_decide_annihilator, help=what)
+        p.set_defaults(decide=decide)
+        p.add_argument("problem")
+        p.add_argument("--cap-n", type=int, default=8, help="l1-norm capacity cap")
 
     p = add("decide-multitile", _cmd_decide_multitile,
             help="does some A in Z² satisfy f*1_A = g?")
@@ -469,6 +435,11 @@ def run(argv: Sequence[str]) -> int:
     except BudgetExceededError as e:
         _emit({"command": command, "answer": "UNKNOWN", "error": str(e)}, started, json_out)
         return 2
+    except Exception as e:  # a crash must not exit 1, which reads as NO
+        traceback.print_exc()
+        error = f"internal error: {type(e).__name__}: {e}"
+        _emit({"command": command, "answer": "ERROR", "error": error}, started, json_out)
+        return 5
     _emit(payload, started, json_out)
     return code
 

@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CapacityError, InputError
 from .qzlinear import ZERO, RationalMod1
@@ -179,17 +179,10 @@ class CycElement:
         return self.coeffs[0]
 
 
-def _lcm(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
-
-
 @lru_cache(maxsize=1 << 18)
 def _zero_sum_cached(key: tuple) -> bool:
     # key: sorted tuple of (numerator, denominator) pairs
-    L = _lcm(d for _, d in key)
+    L = math.lcm(*(d for _, d in key))
     if L > _ZERO_TEST_LEVEL_CAP:
         raise CapacityError(
             f"zero test needs cyclotomic level {L}, beyond the"

@@ -12,6 +12,7 @@ integers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -254,7 +255,7 @@ class PeriodicMap:
         """Pointwise equality as functions on the group (periods may differ)."""
         if self.group != other.group:
             return False
-        q = _lcm2(self.period, other.period)
+        q = math.lcm(self.period, other.period)
         return all(
             self.value(x) == other.value(x) for x in self.group.fundamental_domain(q)
         )
@@ -270,12 +271,6 @@ class PeriodicMap:
 
     def __repr__(self):
         return f"PeriodicMap(period={self.period}, values={self.values!r})"
-
-
-def _lcm2(a: int, b: int) -> int:
-    import math
-
-    return a * b // math.gcd(a, b)
 
 
 def convolve(f: FinMap, g: FinMap) -> FinMap:

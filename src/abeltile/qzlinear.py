@@ -64,10 +64,6 @@ class RationalMod1:
         self.numerator = f.numerator
         self.denominator = f.denominator
 
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "RationalMod1":
-        return cls(f.numerator, f.denominator)
-
     def as_fraction(self) -> Fraction:
         """The canonical representative in [0, 1)."""
         return Fraction(self.numerator, self.denominator)
@@ -172,10 +168,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -185,12 +177,6 @@ class IntMatrix:
 
     def column(self, j: int):
         return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -375,33 +361,16 @@ def smith_normal_form(A: IntMatrix) -> SnfDecomposition:
 
 
 def solve_qz(A: IntMatrix, b: Sequence[RationalMod1]) -> Optional[list]:
-    """A canonical solution of ``A @ x = b`` over Q/Z, or None.
-
-    Solvability: with ``U @ A @ V = D`` and ``c = U @ b``, solvable iff
-    ``c_i = 0`` whenever ``d_i = 0`` (rows beyond the diagonal included).
-    Divisibility of Q/Z supplies ``y_i = c_i / d_i`` for the rest; the lift
-    chosen is the smallest non-negative one, so output is deterministic.
+    """A canonical solution of ``A @ x = b`` over Q/Z, or None: the particular
+    solution of :func:`qz_solution_set`.
 
     >>> solve_qz(IntMatrix([[2]]), [RationalMod1(1, 3)])
     [RationalMod1(1, 6)]
     >>> solve_qz(IntMatrix([[0]]), [RationalMod1(1, 2)]) is None
     True
     """
-    if len(b) != A.rows:
-        raise InputError("right-hand side length does not match row count")
-    snf = smith_normal_form(A)
-    c = snf.U.apply(list(b))
-    diag = snf.diagonal
-    y = [ZERO] * A.cols
-    for i in range(A.rows):
-        d = diag[i] if i < len(diag) else 0
-        ci = c[i]
-        if d == 0:
-            if not ci.is_zero:
-                return None
-        else:
-            y[i] = RationalMod1(ci.numerator, ci.denominator * d)
-    return snf.V.apply(y)
+    sol = qz_solution_set(A, b)
+    return None if sol is None else list(sol.particular)
 
 
 def verify_qz(A: IntMatrix, x: Sequence[RationalMod1], b: Sequence[RationalMod1]) -> bool:
@@ -434,26 +403,33 @@ class QzSolutionSet:
 
     @property
     def count(self) -> int:
-        out = 1
-        for d in self.shift_moduli:
-            out *= d
-        return out
+        return math.prod(self.shift_moduli)
+
+    def at(self, ts: Sequence[int]) -> tuple:
+        """The solution with shift coefficients ``ts`` (``0 <= t_i < d_i``)."""
+        x = list(self.particular)
+        for t, vec, d in zip(ts, self.shift_vectors, self.shift_moduli):
+            if t:
+                for j, vj in enumerate(vec):
+                    if vj:
+                        x[j] = x[j] + RationalMod1(t * vj, d)
+        return tuple(x)
 
     def __iter__(self) -> Iterator[tuple]:
-        ranges = [range(d) for d in self.shift_moduli]
-        for ts in itertools.product(*ranges):
-            x = list(self.particular)
-            for t, vec, d in zip(ts, self.shift_vectors, self.shift_moduli):
-                if t:
-                    for j, vj in enumerate(vec):
-                        if vj:
-                            x[j] = x[j] + RationalMod1(t * vj, d)
-            yield tuple(x)
+        for ts in itertools.product(*(range(d) for d in self.shift_moduli)):
+            yield self.at(ts)
 
 
 def qz_solution_set(A: IntMatrix, b: Sequence[RationalMod1]) -> Optional[QzSolutionSet]:
-    """Like :func:`solve_qz` but presenting every solution, for searches that
-    must enumerate the finite torsion part of the solution set."""
+    """The whole solution set of ``A @ x = b`` over Q/Z, or None.
+
+    Solvability: with ``U @ A @ V = D`` and ``c = U @ b``, solvable iff
+    ``c_i = 0`` whenever ``d_i = 0`` (rows beyond the diagonal included).
+    Divisibility of Q/Z supplies ``y_i = c_i / d_i`` for the rest; the lift
+    chosen is the smallest non-negative one, so the particular solution is
+    deterministic.  The finite torsion part is kept for searches that must
+    enumerate it.
+    """
     if len(b) != A.rows:
         raise InputError("right-hand side length does not match row count")
     snf = smith_normal_form(A)

@@ -132,7 +132,7 @@ def dilation_check(
     if not base.equals(g):
         diff = [
             (x, base.value(x), g.value(x))
-            for x in f.group.fundamental_domain(_lcm(base.period, g.period))
+            for x in f.group.fundamental_domain(math.lcm(base.period, g.period))
             if base.value(x) != g.value(x)
         ]
         raise InputError(
@@ -147,10 +147,6 @@ def dilation_check(
             raise InputError(f"r = {r} is not congruent to 1 modulo q = {q}")
         results.append((r, convolve_periodic(dilate(f, r), a).equals(g)))
     return DilationReport(q, tuple(results))
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 def coset_slice(f: FinMap, x: Sequence[int], w: Sequence[int]) -> FinMap:

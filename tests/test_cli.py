@@ -113,6 +113,43 @@ def test_parse_nested_rows_for_grids():
             '{"group": {"free_rank": 1}, "f": [], "cert": {"q": 2, "bits": [1]}}',
             "expected 4 bits",
         ),
+        (
+            '{"group": {"free_rank": 1}, "f": [], "g": {"period": 1, "values": [1], "x": 0}}',
+            "g: unknown field 'x'",
+        ),
+        (
+            '{"group": {"free_rank": 1}, "f": [], "a": {"period": 1, "values": [1], "x": 0}}',
+            "a: unknown field 'x'",
+        ),
+        (
+            '{"group": {"free_rank": 1}, "f": [], "cert": {"q": 1, "bits": [1], "x": 0}}',
+            "cert: unknown field 'x'",
+        ),
+        (
+            '{"group": {"free_rank": 1}, "f": [], "budget": {"max_q": 2, "x": 0}}',
+            "budget: unknown field 'x'",
+        ),
+        (
+            '{"group": {"free_rank": 1}, "f": [], "dilation": {"q": 2, "r_list": [3], "x": 0}}',
+            "dilation: unknown field 'x'",
+        ),
+        (
+            '{"group": {"free_rank": 1}, "f": [{"elem": [0]}]}',
+            "f[0]: needs 'elem' and 'coeff'",
+        ),
+        (
+            '{"group": {"free_rank": 1}, "f": [], "g": {"period": 1}}',
+            "g: needs 'period' and 'values'",
+        ),
+        (
+            '{"group": {"free_rank": 1}, "f": [], "cert": {"bits": [1]}}',
+            "cert: needs 'q' and 'bits'",
+        ),
+        (
+            '{"group": {"free_rank": 1}, "f": [], "dilation": {"q": 2}}',
+            "dilation: needs 'q' and 'r_list'",
+        ),
+        ('{"group": {"free_rank": 1}, "f": [], "budget": [1]}', "budget: expected an object"),
     ],
 )
 def test_parse_rejections(text, needle):
@@ -158,6 +195,8 @@ def test_cli_decide_zero_capacity(tmp_path, capsys):
 def test_cli_decide_levelshift(tmp_path, capsys):
     code, payload, _ = _run(capsys, ["decide-levelshift", _write(tmp_path, DOMINO_Z)])
     assert code == 0 and payload["answer"] == "YES"
+    _, zero, _ = _run(capsys, ["decide-zero", _write(tmp_path, DOMINO_Z)])
+    assert payload["certificate"] == zero["certificate"]
     zero_mass = {
         "group": {"free_rank": 1},
         "f": [{"elem": [0], "coeff": 1}, {"elem": [1], "coeff": -1}],
@@ -344,6 +383,34 @@ def test_cli_slice(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------ driver
+
+
+def test_cli_internal_error_exits_five(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("abeltile.cli.decide_zero_annihilator", broken)
+    code, payload, _ = _run(capsys, ["decide-zero", _write(tmp_path, DOMINO_Z)])
+    assert code == 5
+    assert payload == {
+        "answer": "ERROR",
+        "command": "decide-zero",
+        "error": "internal error: RuntimeError: boom",
+    }
+
+
+def test_cli_deep_diagonal_does_not_exit_one(tmp_path, capsys):
+    # f*1_A = 1 is solvable here, so exit 1 (NO) would be a wrong answer
+    prob = {
+        "group": {"free_rank": 2},
+        "f": [{"elem": [0, 0], "coeff": 1}, {"elem": [12, 12], "coeff": 1}],
+        "g": {"period": 1, "values": [1]},
+    }
+    code, payload, _ = _run(
+        capsys, ["decide-multitile", _write(tmp_path, prob), "--max-q", "1", "--max-box", "6"]
+    )
+    assert code != 1
+    assert payload["answer"] != "NO"
 
 
 def test_cli_unknown_subcommand(capsys):
