@@ -326,9 +326,9 @@ def witness_periodic_annihilator(group: GroupSpec, chi: CharacterVector) -> Peri
     if chi.group != group:
         raise InputError("character lives on a different group")
     order = chi.order
-    values = [
+    values = (
         retraction_coeff0(chi.phase(x), order) for x in group.fundamental_domain(order)
-    ]
+    )
     return PeriodicMap(group, order, values)
 
 

@@ -8,7 +8,7 @@ for scripting::
     0  YES / check passed
     1  NO / check failed
     2  UNKNOWN (budget exhausted)
-    3  malformed input
+    3  malformed input, or a --json-out file that cannot be written
     4  capacity cap refused the instance
     5  internal error (a crash, never a verdict)
 
@@ -408,13 +408,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(payload: dict, started: float, json_out: Optional[str]) -> None:
+def _emit(payload: dict, started: float, json_out: Optional[str], code: int) -> int:
+    """Print the payload as the verdict line and return its exit code.
+
+    The ``--json-out`` copy is written first, so a path that cannot be
+    written gives one ERROR line and exit 3 instead of a verdict.
+    """
     payload["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    print(text)
     if json_out:
-        with open(json_out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(json_out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            error = f"cannot write --json-out: {e}"
+            failed = {"command": payload["command"], "answer": "ERROR", "error": error}
+            return _emit(failed, started, None, 3)
+    print(text)
+    return code
 
 
 def run(argv: Sequence[str]) -> int:
@@ -427,21 +438,16 @@ def run(argv: Sequence[str]) -> int:
         command = ns.command
         payload, code = ns.fn(ns)
     except InputError as e:
-        _emit({"command": command, "answer": "ERROR", "error": str(e)}, started, json_out)
-        return 3
+        payload, code = {"command": command, "answer": "ERROR", "error": str(e)}, 3
     except CapacityError as e:
-        _emit({"command": command, "answer": "ERROR", "error": str(e)}, started, json_out)
-        return 4
+        payload, code = {"command": command, "answer": "ERROR", "error": str(e)}, 4
     except BudgetExceededError as e:
-        _emit({"command": command, "answer": "UNKNOWN", "error": str(e)}, started, json_out)
-        return 2
+        payload, code = {"command": command, "answer": "UNKNOWN", "error": str(e)}, 2
     except Exception as e:  # a crash must not exit 1, which reads as NO
         traceback.print_exc()
         error = f"internal error: {type(e).__name__}: {e}"
-        _emit({"command": command, "answer": "ERROR", "error": error}, started, json_out)
-        return 5
-    _emit(payload, started, json_out)
-    return code
+        payload, code = {"command": command, "answer": "ERROR", "error": error}, 5
+    return _emit(payload, started, json_out, code)
 
 
 def main() -> None:

@@ -219,7 +219,7 @@ class PeriodicMap:
     def from_function(
         cls, group: GroupSpec, period: int, fn: Callable[[GroupElement], int]
     ) -> "PeriodicMap":
-        return cls(group, period, [fn(x) for x in group.fundamental_domain(period)])
+        return cls(group, period, map(fn, group.fundamental_domain(period)))
 
     @classmethod
     def constant(cls, group: GroupSpec, value: int, period: int = 1) -> "PeriodicMap":
@@ -241,7 +241,7 @@ class PeriodicMap:
 
     @property
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self.values)
 
     def with_period(self, period: int) -> "PeriodicMap":
         """Re-expand onto a multiple of the current period."""
@@ -290,16 +290,29 @@ def convolve(f: FinMap, g: FinMap) -> FinMap:
 
 def convolve_periodic(f: FinMap, a: PeriodicMap) -> PeriodicMap:
     """Convolution of a finitely supported map with a periodic one; the result
-    keeps the period of ``a`` and is evaluated exactly on its fundamental domain."""
+    keeps the period of ``a`` and is evaluated exactly on its fundamental domain.
+
+    Each term ``c * delta_y`` reads ``a`` at ``x - y`` for every cell ``x`` in
+    row-major order; the flat index of that cell is a sum of per-axis entries
+    ``((x_i - y_i) mod dim_i) * stride_i``, so the sums stream straight from
+    ``a.values`` into the result.
+    """
     if f.group != a.group:
         raise InputError("operands live on different groups")
     grp = f.group
-    items = list(f.entries.items())
-
-    def val(x: GroupElement) -> int:
-        return sum(c * a.value(grp.sub(x, y)) for y, c in items)
-
-    return PeriodicMap.from_function(grp, a.period, val)
+    dims = [a.period] * grp.free_rank + list(grp.torsion)
+    vals = a.values
+    streams = []
+    for y, c in f.entries.items():
+        tables = [
+            [((x - yi) % n) * stride for x in range(n)]
+            for yi, n, stride in zip(y, dims, a._strides)
+        ]
+        read = map(vals.__getitem__, map(sum, itertools.product(*tables)))
+        streams.append(read if c == 1 else map(c.__mul__, read))
+    if not streams:
+        return PeriodicMap.constant(grp, 0, a.period)
+    return PeriodicMap(grp, a.period, map(sum, zip(*streams)))
 
 
 def dilate(f: FinMap, r: int) -> FinMap:

@@ -5,7 +5,12 @@ the unknowns live in the divisible group Q/Z: with ``U @ A @ V = D`` and
 ``c = U @ b``, the system is solvable iff ``c[i]`` vanishes whenever the
 diagonal entry ``d_i`` does (including rows beyond the diagonal), and then
 ``x = V @ y`` with ``y_i`` the canonical lift ``c_i / d_i`` is a solution.
-Everything here is exact; no floats, ever.
+
+The solve runs on plain integers: ``b`` becomes numerators over the lcm
+``den`` of its denominators, ``c = U @ b`` and the lift
+``y_i = (c_i mod den) / (den * d_i)`` stay integer numerators, and ``V @ y``
+is summed over one common denominator; a RationalMod1 is built only for each
+unknown of the result.  Everything here is exact; no floats, ever.
 """
 
 from __future__ import annotations
@@ -59,10 +64,12 @@ class RationalMod1:
                 raise InputError("RationalMod1 wants integer numerator/denominator")
         if denominator == 0:
             raise InputError("zero denominator")
-        f = Fraction(numerator, denominator)
-        f -= math.floor(f)
-        self.numerator = f.numerator
-        self.denominator = f.denominator
+        if denominator < 0:
+            numerator, denominator = -numerator, -denominator
+        numerator %= denominator
+        g = math.gcd(numerator, denominator)
+        self.numerator = numerator // g
+        self.denominator = denominator // g
 
     def as_fraction(self) -> Fraction:
         """The canonical representative in [0, 1)."""
@@ -163,6 +170,16 @@ class IntMatrix:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise InputError("matrix entries must be integers")
         self.entries = entries
+
+    @classmethod
+    def _of_ints(cls, rows_data: Sequence[Sequence[int]], cols: int) -> "IntMatrix":
+        """Matrix from rows of ``cols`` ints each, built without the checks of
+        the public constructor; for entries that are ints by construction."""
+        self = cls.__new__(cls)
+        self.entries = tuple(map(tuple, rows_data))
+        self.rows = len(self.entries)
+        self.cols = cols
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -357,7 +374,9 @@ def smith_normal_form(A: IntMatrix) -> SnfDecomposition:
         else:
             i += 1
 
-    return SnfDecomposition(IntMatrix(u, cols=rows), IntMatrix(m, cols=cols), IntMatrix(v, cols=cols))
+    return SnfDecomposition(
+        IntMatrix._of_ints(u, rows), IntMatrix._of_ints(m, cols), IntMatrix._of_ints(v, cols)
+    )
 
 
 def solve_qz(A: IntMatrix, b: Sequence[RationalMod1]) -> Optional[list]:
@@ -423,28 +442,36 @@ class QzSolutionSet:
 def qz_solution_set(A: IntMatrix, b: Sequence[RationalMod1]) -> Optional[QzSolutionSet]:
     """The whole solution set of ``A @ x = b`` over Q/Z, or None.
 
-    Solvability: with ``U @ A @ V = D`` and ``c = U @ b``, solvable iff
-    ``c_i = 0`` whenever ``d_i = 0`` (rows beyond the diagonal included).
-    Divisibility of Q/Z supplies ``y_i = c_i / d_i`` for the rest; the lift
-    chosen is the smallest non-negative one, so the particular solution is
-    deterministic.  The finite torsion part is kept for searches that must
-    enumerate it.
+    The right-hand side is taken as integer numerators ``bn`` over
+    ``den = lcm`` of its denominators, so ``cn = U @ bn`` is exact integer
+    arithmetic.  Solvable iff ``cn_i = 0 (mod den)`` whenever ``d_i = 0``
+    (rows beyond the diagonal included).  Divisibility of Q/Z supplies the
+    rest: the lift is ``y_i = (cn_i mod den) / (den * d_i)``, the smallest
+    non-negative one, so the particular solution is deterministic (reducing
+    ``cn_i`` before dividing is what picks it).  ``V @ y`` is summed over one
+    common denominator and each unknown becomes one RationalMod1.  The finite
+    torsion part is kept for searches that must enumerate it.
     """
     if len(b) != A.rows:
         raise InputError("right-hand side length does not match row count")
     snf = smith_normal_form(A)
-    c = snf.U.apply(list(b))
+    den = math.lcm(*(x.denominator for x in b))
+    bn = [(j, x.numerator * (den // x.denominator)) for j, x in enumerate(b) if x.numerator]
     diag = snf.diagonal
-    y = [ZERO] * A.cols
-    for i in range(A.rows):
+    lifts = []  # (i, cn_i mod den, d_i) for the non-zero lifts
+    for i, urow in enumerate(snf.U.entries):
+        cn = sum(urow[j] * v for j, v in bn) % den
         d = diag[i] if i < len(diag) else 0
-        ci = c[i]
         if d == 0:
-            if not ci.is_zero:
+            if cn:
                 return None
-        else:
-            y[i] = RationalMod1(ci.numerator, ci.denominator * d)
-    particular = tuple(snf.V.apply(y))
+        elif cn:
+            lifts.append((i, cn, d))
+    scale = math.lcm(*(d for _, _, d in lifts))
+    yn = [(i, cn * (scale // d)) for i, cn, d in lifts]  # over den * scale
+    particular = tuple(
+        RationalMod1(sum(vrow[i] * v for i, v in yn), den * scale) for vrow in snf.V.entries
+    )
     vectors = []
     moduli = []
     for i, d in enumerate(diag):

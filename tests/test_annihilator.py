@@ -80,6 +80,17 @@ def test_full_cyclic_group_is_yes():
     assert v.witness_map.value((0,)) == 1
 
 
+def test_z6_reported_character_is_pinned():
+    # Pins the reported character, not only the verdict: 1/6 (period 6) also
+    # kills f-hat, and which one comes first follows the particular solution
+    # of the Q/Z solve and the order of the candidate scan.
+    g = GroupSpec(0, (6,))
+    v = decide_zero_annihilator(g, FinMap(g, {(1,): -2, (4,): -2}))
+    assert v.is_yes
+    assert [str(e) for e in v.witness_character.etas] == ["1/2"]
+    assert v.witness_map.period == 2
+
+
 def test_decider_input_errors():
     with pytest.raises(InputError):
         decide_zero_annihilator(Z, FinMap.zero(Z))

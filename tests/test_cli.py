@@ -441,6 +441,20 @@ def test_cli_json_out_mirrors_stdout(tmp_path, capsys):
     assert out.read_text().strip() == stdout_line
 
 
+def test_cli_unwritable_json_out_exits_three(tmp_path, capsys):
+    path = _write(tmp_path, DOMINO_Z)
+    out = tmp_path / "missing-dir" / "verdict.json"
+    code = run(["decide-zero", path, "--json-out", str(out)])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 3
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["answer"] == "ERROR"
+    assert payload["error"].startswith("cannot write --json-out: ")
+    assert "YES" not in lines[0]
+    assert not out.exists()
+
+
 def _console_script_argv(tmp_path):
     """Argv that runs the ``abeltile`` console script, installed or not."""
     exe = shutil.which("abeltile")

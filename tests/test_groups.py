@@ -220,19 +220,25 @@ def test_convolve_periodic_examples():
     assert out.values == (-8, 8)
 
 
-def test_convolve_periodic_against_window_oracle():
-    rng = random.Random("window")
-    for _ in range(25):
-        f = _random_finmap(rng, Z2, max_terms=5, span=2)
+@pytest.mark.parametrize(
+    "group",
+    [Z, Z2, Z_X_ZMOD2, GroupSpec(1, (3,)), GroupSpec(0, (6,)), GroupSpec(3)],
+    ids=["Z", "Z2", "ZxZ2", "ZxZ3", "Z6", "Z3"],
+)
+def test_convolve_periodic_against_window_oracle(group):
+    rng = random.Random(f"window-{group}")
+    for trial in range(25):
+        # the first trial convolves with f = 0, which must give all zeros
+        f = FinMap.zero(group) if trial == 0 else _random_finmap(rng, group, max_terms=5, span=2)
         q = rng.choice([1, 2, 3])
-        a = PeriodicMap(
-            Z2, q, [rng.randint(-2, 2) for _ in range(q * q)]
-        )
+        cells = list(group.fundamental_domain(q))
+        a = PeriodicMap(group, q, [rng.randint(-2, 2) for _ in cells])
         got = convolve_periodic(f, a)
-        cells = [(x, y) for x in range(q) for y in range(q)]
+        assert got.period == q
         want = conv_window(f.entries, a.value, cells)
-        for cell, v in want.items():
-            assert got.value(cell) == v
+        assert [got.value(cell) for cell in cells] == [want[cell] for cell in cells]
+        if f.is_zero:
+            assert got.is_zero
 
 
 def test_convolve_periodic_group_guard():

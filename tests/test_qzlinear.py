@@ -1,10 +1,11 @@
 """Exact integer linear algebra and solvability over the rationals mod 1."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abeltile import (
@@ -78,6 +79,21 @@ def test_reduction_idempotent_and_hash(x):
     assert again == x
     assert hash(again) == hash(x)
     assert 0 <= x.numerator < x.denominator or (x.numerator, x.denominator) == (0, 1)
+
+
+@given(
+    st.integers(min_value=-(2**72), max_value=2**72),
+    st.integers(min_value=-(2**72), max_value=2**72).filter(bool),
+)
+@example(0, 5)
+@example(0, -5)
+@example(7, -3)
+@example(-(2**70) - 1, 2**70)
+@example(2**70 + 3, -(2**70 + 1))
+def test_normalisation_matches_fraction(n, d):
+    r = RationalMod1(n, d)
+    want = Fraction(n, d) - math.floor(Fraction(n, d))
+    assert (r.numerator, r.denominator) == (want.numerator, want.denominator)
 
 
 def test_ordering_follows_fractions():
@@ -268,3 +284,44 @@ def test_solution_set_enumerates_everything():
 
 def test_solution_set_none_matches_solve():
     assert qz_solution_set(IntMatrix([[0]]), [HALF]) is None
+
+
+def _particular_by_apply(a, b):
+    """Reference particular solution over RationalMod1 objects: ``U.apply``,
+    the lift ``c_i / d_i`` of the reduced ``c_i``, then ``V.apply``."""
+    snf = smith_normal_form(a)
+    c = snf.U.apply(list(b))
+    diag = snf.diagonal
+    y = [ZERO] * a.cols
+    for i, ci in enumerate(c):
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            if ci:
+                return None
+        else:
+            y[i] = RationalMod1(ci.numerator, ci.denominator * d)
+    return tuple(snf.V.apply(y))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_particular_solution_matches_apply_route(seed):
+    rng = random.Random(4000 + seed)
+    feasible = 0
+    for _ in range(150):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5)
+        entries = [[rng.choice((0, rng.randint(-6, 6))) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:
+            entries[rng.randrange(rows)] = [0] * cols  # a zero row
+        if rows >= 2 and rng.random() < 0.3:
+            k = rng.randint(-2, 2)
+            entries[1] = [k * v for v in entries[0]]  # rank-deficient
+        a = IntMatrix(entries)
+        b = [RationalMod1(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 5, 6, 12))) for _ in range(rows)]
+        want = _particular_by_apply(a, b)
+        sol = qz_solution_set(a, b)
+        assert (sol is None) == (want is None), (entries, b)
+        if sol is not None:
+            feasible += 1
+            assert sol.particular == want, (entries, b)
+    assert feasible >= 30
