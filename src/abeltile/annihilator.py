@@ -19,6 +19,16 @@ move any block phase, so they are pinned); every candidate is then validated
 by exact cyclotomic arithmetic — full-block vanishing and minimality — with a
 fast floating-point magnitude prefilter in front.  A verdict of NO therefore
 means the whole space was exhausted, not that an enumeration was truncated.
+
+On Z/N and Z a pre-check runs first and proves most NO answers without the
+partition search.  Every block of a killing character's partition meets two
+distinct support points x, y, and Mann's bound puts the order of the
+character among the divisors of gcd(N, mann_bound(n) * (x - y)), with N = 0
+on Z.  By Galois conjugacy one character per candidate order decides that
+order, tested by the same prefilter and exact zero test.  When every
+candidate is non-zero the answer is NO; otherwise (a zero, or a candidate
+beyond a cap) the partition search runs as above, so a YES always comes
+from it, with its character, blocks and witness.
 """
 
 from __future__ import annotations
@@ -29,7 +39,13 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .cyclotomic import is_minimal_vanishing, mann_bound, retraction_coeff0
+from .cyclotomic import (
+    _divisors,
+    is_minimal_vanishing,
+    mann_bound,
+    retraction_coeff0,
+    sum_roots_is_zero,
+)
 from .errors import CapacityError, InputError
 from .groups import FinMap, GroupSpec, PeriodicMap, convolve_periodic, l1_norm, unit_expansion
 from .qzlinear import ZERO, IntMatrix, RationalMod1, qz_solution_set
@@ -250,6 +266,50 @@ def _solve_partition(group: GroupSpec, types, partition):
     return None
 
 
+# ---------------------------------------------------------------------------
+# rank-one pre-check: one character per candidate order
+
+_PRECHECK_FACTOR_CAP = 10**12
+
+
+def _no_killing_character(group: GroupSpec, f: FinMap, n: int) -> bool:
+    """True only if no finite-order character of Z/N or Z kills f-hat.
+
+    A killing character of order m splits the n = l1(f) unit terms into
+    minimal vanishing blocks.  Each block meets two distinct support points
+    x, y, because the terms at one point share a sign.  By Mann's theorem the
+    rotated phases of a block have orders dividing M = mann_bound(n); M is
+    even, so the sign offsets 0 or 1/2 add nothing and m divides M*(x - y),
+    and N on Z/N.  Galois conjugation carries f-hat(1/m) to f-hat(u/m) for
+    every u prime to m, so one character per candidate order settles it.
+
+    Any other group returns False, and so does every case this check cannot
+    close: a candidate bound beyond the factoring cap, a character that kills
+    f-hat, or an exact test beyond the cyclotomic cap.  The partition search
+    then decides.
+    """
+    if group.rank != 1:
+        return False
+    modulus = group.torsion[0] if group.torsion else 0  # gcd(0, k) = |k| on Z
+    points = [x for (x,) in f.entries]
+    mk = mann_bound(n)
+    bounds = {math.gcd(modulus, mk * (x - y)) for i, x in enumerate(points) for y in points[:i]}
+    if any(b > _PRECHECK_FACTOR_CAP for b in bounds):
+        return False
+    terms = list(f.entries.items())
+    for m in sorted({d for b in bounds for d in _divisors(b)}):
+        s = sum(c * cmath.exp(-2j * cmath.pi * (x % m) / m) for (x,), c in terms)
+        if abs(s) > _PREFILTER_TOL:
+            continue
+        phases = [eps - RationalMod1(x % m, m) for (x,), eps in unit_expansion(f)]
+        try:
+            if sum_roots_is_zero(phases):
+                return False
+        except CapacityError:
+            return False
+    return True
+
+
 def decide_zero_annihilator(group: GroupSpec, f: FinMap, cap: int = 8) -> AnnihilatorVerdict:
     """YES iff some finite-order character kills every Fourier term of f.
 
@@ -269,6 +329,8 @@ def decide_zero_annihilator(group: GroupSpec, f: FinMap, cap: int = 8) -> Annihi
     n = l1_norm(f)
     if n > cap:
         raise CapacityError(f"l1 norm {n} exceeds the decision capacity {cap}")
+    if _no_killing_character(group, f, n):
+        return AnnihilatorVerdict("NO")
 
     terms = unit_expansion(f)
     types: List[Tuple[tuple, RationalMod1]] = []

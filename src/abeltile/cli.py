@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -237,7 +238,9 @@ def _parse_vec(text: str, flag: str) -> Tuple[int, int]:
 
 def _cmd_decide_annihilator(ns) -> Tuple[dict, int]:
     problem = _load(ns.problem)
-    verdict = ns.decide(problem.group, problem.f, cap=ns.cap_n)
+    # the decider is looked up by name at call time, so a rebound module
+    # global (a wrapped decider) is the one that runs
+    verdict = globals()[ns.decide](problem.group, problem.f, cap=ns.cap_n)
     payload = {"command": ns.command, "answer": verdict.answer}
     if verdict.is_yes:
         chi = verdict.witness_character
@@ -358,7 +361,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and then shared by every run."""
     parser = _Parser(prog="abeltile", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -368,11 +373,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--json-out", metavar="PATH", help="also write the verdict here")
         return p
 
-    # the deciders are looked up here, at call time, so a rebound module
-    # global (a wrapped decider) is the one that runs
     for name, decide, what in (
-        ("decide-zero", decide_zero_annihilator, "does f*a = 0 have a non-zero solution?"),
-        ("decide-levelshift", decide_level_shift,
+        ("decide-zero", "decide_zero_annihilator", "does f*a = 0 have a non-zero solution?"),
+        ("decide-levelshift", "decide_level_shift",
          "does f*a = const have a non-constant solution?"),
     ):
         p = add(name, _cmd_decide_annihilator, help=what)

@@ -1,9 +1,11 @@
 """Decision procedure for integer annihilators f*a = 0 and its witnesses."""
 
+import math
 import random
 
 import pytest
 
+from abeltile import annihilator
 from abeltile import (
     AnnihilatorVerdict,
     CapacityError,
@@ -266,3 +268,131 @@ def test_partition_trace_coherence():
 def test_verdict_dataclass_shape():
     v = AnnihilatorVerdict("NO")
     assert v.partition_trace is None and not v.is_yes
+
+
+# ------------------------------------------------ rank-one character pre-check
+
+
+def _partition_search_alone(monkeypatch, group, f):
+    """The decider's verdict with the pre-check switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(annihilator, "_no_killing_character", lambda *args: False)
+        return decide_zero_annihilator(group, f)
+
+
+def _random_rank_one(rng, group):
+    """f with l1 norm 2..8; support in [-6, 6] on Z, anywhere on Z/N."""
+    while True:
+        items = []
+        for _ in range(rng.randint(1, 4)):
+            x = rng.randint(-6, 6) if group.free_rank else rng.randrange(group.torsion[0])
+            items.append(((x,), rng.choice([-2, -1, 1, 2])))
+        f = FinMap(group, items)
+        if 2 <= l1_norm(f) <= 8:
+            return f
+
+
+def _rank_one_group(rng, which):
+    return Z if which == "Z" else GroupSpec(0, (rng.randint(13, 60),))
+
+
+@pytest.mark.parametrize("which", ["Z", "Z/N"])
+def test_precheck_no_iff_partition_search_no(monkeypatch, which):
+    rng = random.Random(f"precheck-{which}")
+    answers = []
+    for _ in range(120):
+        group = _rank_one_group(rng, which)
+        f = _random_rank_one(rng, group)
+        proved_no = annihilator._no_killing_character(group, f, l1_norm(f))
+        search = _partition_search_alone(monkeypatch, group, f).answer
+        assert proved_no == (search == "NO"), (group, f.entries)
+        answers.append(search)
+    assert answers.count("YES") >= 10 and answers.count("NO") >= 10
+
+
+@pytest.mark.parametrize("which", ["Z", "Z/N"])
+def test_rank_one_verdict_invariant_under_automorphisms(which):
+    rng = random.Random(f"precheck-invariance-{which}")
+    for _ in range(60):
+        group = _rank_one_group(rng, which)
+        f = _random_rank_one(rng, group)
+        want = decide_zero_annihilator(group, f).answer
+        moved = [
+            f.shift((rng.randint(-20, 20),)),
+            FinMap(group, [((-x,), c) for (x,), c in f.entries.items()]),
+        ]
+        if group.torsion:
+            n = group.torsion[0]
+            u = rng.choice([u for u in range(2, n) if math.gcd(u, n) == 1])
+            moved.append(FinMap(group, [((u * x,), c) for (x,), c in f.entries.items()]))
+        for h in moved:
+            assert decide_zero_annihilator(group, h).answer == want, (group, f.entries, h.entries)
+
+
+def _counting_solver(monkeypatch):
+    calls = []
+    real = annihilator.qz_solution_set
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(annihilator, "qz_solution_set", counted)
+    return calls
+
+
+def test_precheck_answers_zn_no_without_partition_search(monkeypatch):
+    calls = _counting_solver(monkeypatch)
+    g = GroupSpec(0, (10,))  # 1 + e(-x) + e(-2x) vanishes only at order 3
+    assert decide_zero_annihilator(g, FinMap.indicator(g, [(0,), (1,), (2,)])).answer == "NO"
+    assert decide_level_shift(g, FinMap.indicator(g, [(0,), (1,), (2,)])).answer == "NO"
+    assert calls == []
+
+
+def test_precheck_leaves_yes_certificate_to_partition_search(monkeypatch):
+    g = GroupSpec(0, (12,))
+    f = FinMap(g, {(0,): 1, (4,): 1, (8,): 1, (1,): 2, (7,): -2})
+    reference = _partition_search_alone(monkeypatch, g, f)
+    calls = _counting_solver(monkeypatch)
+    v = decide_zero_annihilator(g, f)
+    assert v.is_yes and calls
+    assert [str(e) for e in v.witness_character.etas] == ["1/6"]
+    assert len(v.partition_trace) == 3
+    assert v.witness_character == reference.witness_character
+    assert v.witness_map.values == reference.witness_map.values
+    assert v.partition_trace == reference.partition_trace
+
+
+def test_precheck_no_on_far_apart_points_of_z(monkeypatch):
+    # the Q/Z solve for this f has shift moduli near 10^10, whose candidate
+    # product could not be enumerated; the pre-check needs no solve at all
+    calls = _counting_solver(monkeypatch)
+    f = FinMap(Z, {(0,): 1, (10**9,): 2})
+    assert decide_zero_annihilator(Z, f).answer == "NO"
+    assert calls == []
+
+
+def test_precheck_no_on_z_mod_two_to_the_forty(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the partition search must not run")
+
+    monkeypatch.setattr(annihilator, "qz_solution_set", refuse)
+    g = GroupSpec(0, (2**40,))
+    assert decide_zero_annihilator(g, FinMap.indicator(g, [(0,), (1,), (2,)])).answer == "NO"
+
+
+def test_precheck_falls_through_when_it_cannot_prove_no():
+    # a killing character exists (order 2)
+    assert not annihilator._no_killing_character(Z, DOMINO, 2)
+    # (1 + z^8192)(2 + z) vanishes only at order 16384, past the exact-test cap
+    f = FinMap(Z, {(0,): 2, (1,): 1, (8192,): 2, (8193,): 1})
+    with pytest.raises(CapacityError):
+        sum_roots_is_zero(
+            [eps - r(x % 16384, 16384) for (x,), eps in unit_expansion(f)]
+        )
+    assert not annihilator._no_killing_character(Z, f, 6)
+    # candidate orders would need factoring a number past the factoring cap
+    far = FinMap(Z, {(0,): 1, (10**15,): 2})
+    assert not annihilator._no_killing_character(Z, far, 3)
+    # rank two is out of scope
+    assert not annihilator._no_killing_character(Z2, FinMap.delta(Z2, (0, 0), 2), 2)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from abeltile import InputError, SearchBudget
+from abeltile import AnnihilatorVerdict, InputError, SearchBudget
 from abeltile.cli import parse_problem, run
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -190,6 +190,18 @@ def test_cli_decide_zero_capacity(tmp_path, capsys):
     assert code == 4
     assert payload["answer"] == "ERROR"
     assert "capacity" in payload["error"]
+
+
+def test_cli_decide_zero_no_on_far_apart_points(tmp_path, capsys):
+    # a NO, not a crash: the Q/Z solve for this f has shift moduli near 10^10
+    far = {
+        "group": {"free_rank": 1},
+        "f": [{"elem": [0], "coeff": 1}, {"elem": [10**9], "coeff": 2}],
+    }
+    for command in ("decide-zero", "decide-levelshift"):
+        code, payload, _ = _run(capsys, [command, _write(tmp_path, far)])
+        assert code == 1
+        assert payload == {"answer": "NO", "command": command}
 
 
 def test_cli_decide_levelshift(tmp_path, capsys):
@@ -397,6 +409,20 @@ def test_cli_internal_error_exits_five(tmp_path, capsys, monkeypatch):
         "command": "decide-zero",
         "error": "internal error: RuntimeError: boom",
     }
+
+
+def test_cli_runs_rebound_decider_after_parser_is_built(tmp_path, capsys, monkeypatch):
+    problem = _write(tmp_path, DOMINO_Z)
+    assert _run(capsys, ["decide-levelshift", problem])[0] == 0  # parser now built
+    seen = []
+
+    def traced(group, f, cap):
+        seen.append(cap)
+        return AnnihilatorVerdict("NO")
+
+    monkeypatch.setattr("abeltile.cli.decide_level_shift", traced)
+    code, payload, _ = _run(capsys, ["decide-levelshift", problem, "--cap-n", "6"])
+    assert (code, payload["answer"], seen) == (1, "NO", [6])
 
 
 def test_cli_deep_diagonal_does_not_exit_one(tmp_path, capsys):
