@@ -7,15 +7,17 @@ convolution constraints (such a window rules out *every* A, periodic or not).
 Whichever side lands first decides the instance; if both ladders run out the
 verdict is UNKNOWN — an honest budget statement, never a NO.
 
-Both sides share one backtracking engine over pseudo-boolean equality
-constraints with interval propagation: each constraint tracks the reachable
-min/max of its left side under the current partial assignment and forces a
-cell as soon as one of its two values becomes unreachable.
+Both sides build their constraints in one function, one equality per cell, and
+share one iterative backtracking engine with interval propagation: each
+constraint tracks the reachable min/max of its left side under the current
+partial assignment and forces a cell as soon as one of its two values becomes
+unreachable.  Cells no constraint reads start at 0 and never cost a branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product, zip_longest
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, InputError
@@ -106,7 +108,6 @@ class _Csp:
 
     def __init__(self, nvars: int, constraints: Sequence[Tuple[Sequence[Tuple[int, int]], int]]):
         self.nvars = nvars
-        self.value = [-1] * nvars
         self.trail: List[int] = []
         self.terms: List[List[Tuple[int, int]]] = []
         self.target: List[int] = []
@@ -127,6 +128,8 @@ class _Csp:
             self.neg.append(sum(c for _, c in live if c < 0))
             for v, c in live:
                 self.var_cons[v].append((k, c))
+        # a cell no constraint reads is free, so 0 keeps the solution lex-least
+        self.value = [-1 if cons else 0 for cons in self.var_cons]
 
     def _assign(self, v: int, b: int) -> None:
         self.value[v] = b
@@ -191,32 +194,32 @@ class _Csp:
         sound propagation the first solution found is the lex-least one.
         Raises BudgetExceededError when the decision count passes max_nodes.
         """
-        nodes = [0]
         if not self.propagate(list(range(len(self.terms)))):
             return None, 0
         value = self.value
-
-        def rec(lo: int) -> bool:
-            v = lo
+        nodes = v = 0
+        stack: List[Tuple[int, int, int]] = []  # (cell, bit, trail mark) per decision
+        while True:
             while v < self.nvars and value[v] != -1:
                 v += 1
             if v == self.nvars:
-                return True
-            nodes[0] += 1
-            if nodes[0] > max_nodes:
+                return list(value), nodes
+            nodes += 1
+            if nodes > max_nodes:
                 raise BudgetExceededError(
                     f"search exceeded the node budget of {max_nodes}"
                 )
-            for b in (0, 1):
-                mark = len(self.trail)
-                if self.assign_and_propagate(v, b) and rec(v + 1):
-                    return True
+            b, mark = 0, len(self.trail)
+            while not self.assign_and_propagate(v, b):
                 self.undo(mark)
-            return False
-
-        if rec(0):
-            return list(value), nodes[0]
-        return None, nodes[0]
+                while b:  # both values failed here: reopen the last decision
+                    if not stack:
+                        return None, nodes
+                    v, b, mark = stack.pop()
+                    self.undo(mark)
+                b = 1
+            stack.append((v, b, mark))
+            v += 1
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +231,27 @@ def _require_z2(f: FinMap, g: PeriodicMap) -> None:
         raise InputError("multi-tiling decision is implemented for Z² only")
 
 
-def _periodic_search_ex(f: FinMap, g: PeriodicMap, q: int, max_nodes: int):
+def _search(f: FinMap, g: PeriodicMap, cells, index, nvars: int, max_nodes: int):
+    """(lex-least a ∈ {0,1}^nvars or None, nodes) for the constraints
+    sum(c·a[index(x − y)] for c·δ_y in f) = g(x), one per x in cells: the torus
+    and the box differ only in their cells and in how index maps Z² to a cell."""
+    supp = [(y, f.coeff(y)) for y in f.support()]
+    constraints = [
+        ([(index(x[0] - y[0], x[1] - y[1]), c) for y, c in supp], g.value(x))
+        for x in cells
+    ]
+    return _Csp(nvars, constraints).solve(max_nodes)
+
+
+def _torus(f: FinMap, g: PeriodicMap, q: int, max_nodes: int):
     _require_z2(f, g)
     if not isinstance(q, int) or isinstance(q, bool) or q < 1:
         raise InputError("torus side must be a positive integer")
     if q % g.period != 0:
         raise InputError(f"torus side {q} is not a multiple of g's period {g.period}")
-    constraints = []
-    supp = [(y, f.coeff(y)) for y in f.support()]
-    for x0 in range(q):
-        for x1 in range(q):
-            terms = [
-                ((x0 - y[0]) % q * q + (x1 - y[1]) % q, c) for y, c in supp
-            ]
-            constraints.append((terms, g.value((x0, x1))))
-    csp = _Csp(q * q, constraints)
-    solution, nodes = csp.solve(max_nodes)
-    if solution is None:
-        return None, nodes
-    return TorusAssignment(q, tuple(solution)), nodes
+    cells = product(range(q), repeat=2)  # indexed by the quotient map Z² → Z²/qZ²
+    solution, nodes = _search(f, g, cells, lambda p0, p1: p0 % q * q + p1 % q, q * q, max_nodes)
+    return (None if solution is None else TorusAssignment(q, tuple(solution))), nodes
 
 
 def periodic_search(
@@ -255,27 +260,18 @@ def periodic_search(
     """Lex-least qZ²-periodic solution of f*1_A = g, or None if the torus
     admits none.  Exact: encodes one equality constraint per torus cell and
     exhausts the assignment tree (budget overruns raise, they never return)."""
-    return _periodic_search_ex(f, g, q, max_nodes)[0]
+    return _torus(f, g, q, max_nodes)[0]
 
 
-def _box_refute_ex(f: FinMap, g: PeriodicMap, n: int, max_nodes: int):
+def _box(f: FinMap, g: PeriodicMap, n: int, max_nodes: int):
     _require_z2(f, g)
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InputError("box radius must be a non-negative integer")
-    supp = [(y, f.coeff(y)) for y in f.support()]
-    radius = max((max(abs(y[0]), abs(y[1])) for y, _ in supp), default=0)
-    side = 2 * (n + radius) + 1
-
-    def vid(p0: int, p1: int) -> int:
-        return (p0 + n + radius) * side + (p1 + n + radius)
-
-    constraints = []
-    for x0 in range(-n, n + 1):
-        for x1 in range(-n, n + 1):
-            terms = [(vid(x0 - y[0], x1 - y[1]), c) for y, c in supp]
-            constraints.append((terms, g.value((x0, x1))))
-    csp = _Csp(side * side, constraints)
-    solution, nodes = csp.solve(max_nodes)
+    r = n + max((max(abs(y[0]), abs(y[1])) for y in f.support()), default=0)
+    side = 2 * r + 1
+    cells = product(range(-n, n + 1), repeat=2)  # indexed by the offset into the window
+    solution, nodes = _search(
+        f, g, cells, lambda p0, p1: (p0 + r) * side + p1 + r, side * side, max_nodes)
     return solution is None, nodes
 
 
@@ -289,7 +285,7 @@ def box_refute(
     window.  A budget overrun raises BudgetExceededError — inconclusive is
     never reported as False.
     """
-    return _box_refute_ex(f, g, n, max_nodes)[0]
+    return _box(f, g, n, max_nodes)[0]
 
 
 def verify_multitile(f: FinMap, g: PeriodicMap, cert: TorusAssignment) -> bool:
@@ -314,51 +310,26 @@ def decide_multitile(
     cut short by the node budget.
     """
     _require_z2(f, g)
-    total_nodes = 0
-
-    if f.is_zero:
-        # degenerate: f*1_A is identically zero, so only g = 0 is solvable
-        if g.is_zero:
-            cert = TorusAssignment(g.period, (0,) * (g.period * g.period))
-            return MultitileVerdict("YES", certificate=cert)
-        for n in range(g.period + 1):
-            refuted, nodes = _box_refute_ex(f, g, n, budget.max_nodes)
-            total_nodes += nodes
-            if refuted:
-                return MultitileVerdict(
-                    "NO", refutation_box_radius=n, nodes_used=total_nodes
-                )
-
     qs = list(range(g.period, budget.max_q + 1, g.period))
     ns = list(range(0, budget.max_box_radius + 1))
+    total_nodes = 0
     truncated = 0
-    step = 0
-    while step < max(len(qs), len(ns)):
-        if step < len(qs):
+    for pair in zip_longest(qs, ns):
+        for step, arg in zip((_torus, _box), pair):
+            if arg is None:
+                continue
             try:
-                cert, nodes = _periodic_search_ex(f, g, qs[step], budget.max_nodes)
-                total_nodes += nodes
-                if cert is not None:
-                    if not verify_multitile(f, g, cert):  # pragma: no cover - guard
-                        raise AssertionError("torus certificate failed re-verification")
-                    return MultitileVerdict(
-                        "YES", certificate=cert, nodes_used=total_nodes
-                    )
+                found, nodes = step(f, g, arg, budget.max_nodes)
             except BudgetExceededError:
+                found, nodes = None, budget.max_nodes
                 truncated += 1
-                total_nodes += budget.max_nodes
-        if step < len(ns):
-            try:
-                refuted, nodes = _box_refute_ex(f, g, ns[step], budget.max_nodes)
-                total_nodes += nodes
-                if refuted:
-                    return MultitileVerdict(
-                        "NO", refutation_box_radius=ns[step], nodes_used=total_nodes
-                    )
-            except BudgetExceededError:
-                truncated += 1
-                total_nodes += budget.max_nodes
-        step += 1
+            total_nodes += nodes
+            if found and step is _box:
+                return MultitileVerdict("NO", refutation_box_radius=arg, nodes_used=total_nodes)
+            if found:
+                if not verify_multitile(f, g, found):  # pragma: no cover - guard
+                    raise AssertionError("torus certificate failed re-verification")
+                return MultitileVerdict("YES", certificate=found, nodes_used=total_nodes)
 
     note = (
         f"exhausted torus sides {qs or 'none'} and box radii {ns}"

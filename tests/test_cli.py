@@ -240,7 +240,7 @@ def test_cli_multitile_yes_and_roundtrip(tmp_path, capsys):
     assert code == 0
     assert payload["answer"] == "YES"
     assert payload["certificate"] == {"q": 2, "bits": [0, 0, 1, 1]}
-    assert payload["nodes_used"] == 10
+    assert payload["nodes_used"] == 3
     assert err.splitlines() == ["..", "##"]
     check = dict(DOMINO_PLANE)
     check["cert"] = payload["certificate"]
@@ -437,6 +437,8 @@ def test_cli_deep_diagonal_does_not_exit_one(tmp_path, capsys):
     )
     assert code != 1
     assert payload["answer"] != "NO"
+    assert code == 2
+    assert payload["answer"] == "UNKNOWN"
 
 
 def test_cli_unknown_subcommand(capsys):

@@ -162,7 +162,7 @@ def test_decide_fixture_suite():
     v1 = decide_multitile(DOMINO, ONES)
     assert v1.answer == "YES"
     assert v1.certificate == TorusAssignment(2, (0, 0, 1, 1))
-    assert v1.nodes_used == 10  # deterministic search, frozen count
+    assert v1.nodes_used == 3  # deterministic search, frozen count
     assert verify_multitile(DOMINO, ONES, v1.certificate)
 
     v2 = decide_multitile(DOMINO, TWOS)
@@ -185,12 +185,19 @@ def test_decide_zero_f_paths():
     v = decide_multitile(zero, PeriodicMap.constant(Z2, 0))
     assert v.answer == "YES"
     assert v.certificate.bits == (0,)
+    assert v.nodes_used == 0  # every cell is dead, so nothing is branched on
     assert verify_multitile(zero, PeriodicMap.constant(Z2, 0), v.certificate)
-    # non-zero g is hopeless, found by scanning one period of boxes
+    # non-zero g is hopeless; the box ladder finds it within the budget
     g = PeriodicMap(Z2, 2, [0, 0, 0, 1])
     w = decide_multitile(zero, g)
     assert w.answer == "NO"
     assert w.refutation_box_radius == 1  # the bad cell sits at (1,1)
+    # f = 0 obeys the budget like any f: the bad cell (2,2) lies past radius 1
+    far = [0] * 16
+    far[2 * 4 + 2] = 1
+    u = decide_multitile(zero, PeriodicMap(Z2, 4, far), SearchBudget(max_box_radius=1))
+    assert u.answer == "UNKNOWN"
+    assert "box radii [0, 1]" in u.budget_note
 
 
 def test_decide_unknown_when_ladders_exhausted():
@@ -216,6 +223,50 @@ def test_decide_translation_invariance():
         assert verify_multitile(DOMINO.shift(h), ONES, a.certificate)
         b = decide_multitile(DELTA_DIFF.shift(h), ONES)
         assert b.answer == "NO"
+
+
+STAIRCASE = FinMap.indicator(Z2, [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+
+
+@pytest.mark.parametrize("h", [(0, 0), (-2, -2)])
+def test_decide_staircase_same_at_both_placements(h):
+    # window cells no constraint reads are fixed to 0, so where f sits in the
+    # window no longer multiplies the search by 2^(dead cells)
+    v = decide_multitile(STAIRCASE.shift(h), ONES)
+    assert v.answer == "NO"
+    assert v.refutation_box_radius == 2
+    assert v.nodes_used == 46
+    assert box_refute(STAIRCASE.shift(h), ONES, 2)
+
+
+def test_decide_nodes_do_not_depend_on_placement():
+    # shifting f by a period of g renames torus cells and translates the box
+    # constraints, so the verdict and the decision count must not move
+    rng = random.Random("placement")
+    for _ in range(150):
+        supp = {}
+        for _ in range(rng.randint(1, 5)):
+            supp[(rng.randint(0, 3), rng.randint(0, 3))] = rng.choice([-1, 1, 1, 2])
+        f = FinMap(Z2, supp)
+        if rng.random() < 0.5:
+            g = PeriodicMap.constant(Z2, rng.randint(0, 2))
+        else:
+            g = PeriodicMap(Z2, 2, [rng.randint(0, 2) for _ in range(4)])
+        h = (g.period * rng.randint(-2, 2), g.period * rng.randint(-2, 2))
+        budget = SearchBudget(rng.randint(1, 6), rng.randint(1, 3), rng.choice([50, 500]))
+        a = decide_multitile(f, g, budget)
+        b = decide_multitile(f.shift(h), g, budget)
+        assert (a.answer, a.nodes_used) == (b.answer, b.nodes_used)
+        assert a.refutation_box_radius == b.refutation_box_radius
+
+
+def test_decide_deep_search_does_not_overflow_the_stack():
+    # radius 16 decides (2·16+1)² = 1089 cells on one branch, deeper than the
+    # interpreter's default recursion limit
+    f = FinMap(Z2, {(0, 0): 1, (40, 40): 1})
+    v = decide_multitile(f, ONES, SearchBudget(max_q=1, max_box_radius=16))
+    assert v.answer == "UNKNOWN"
+    assert "cut short" not in v.budget_note
 
 
 def test_decide_requires_z2():
