@@ -2,132 +2,23 @@
 finitely generated abelian groups, with certificates a third party can
 re-check: periodic annihilator witnesses, torus tilings, finite refutation
 boxes, and desk-scale verifiers for the surrounding algebra.
+
+The public names are those in the ``__all__`` of each module below.
 """
 
-from .annihilator import (
-    AnnihilatorVerdict,
-    BlockTrace,
-    CharacterVector,
-    decide_level_shift,
-    decide_zero_annihilator,
-    verify_annihilator,
-    witness_periodic_annihilator,
-)
-from .cyclotomic import (
-    CycElement,
-    MinimalTuple,
-    cyclotomic_poly,
-    enumerate_minimal_tuples,
-    is_minimal_vanishing,
-    mann_bound,
-    retraction_coeff0,
-    sum_roots_is_zero,
-)
-from .errors import BudgetExceededError, CapacityError, InputError
-from .groups import (
-    FinMap,
-    GroupSpec,
-    PeriodicMap,
-    Quotient,
-    convolve,
-    convolve_periodic,
-    difference,
-    dilate,
-    l1_norm,
-    pushforward,
-    quotient_by,
-    unit_expansion,
-)
-from .multitile import (
-    MultitileVerdict,
-    SearchBudget,
-    TorusAssignment,
-    box_refute,
-    decide_multitile,
-    periodic_search,
-    verify_multitile,
-)
-from .qzlinear import (
-    HALF,
-    ZERO,
-    IntMatrix,
-    QzSolutionSet,
-    RationalMod1,
-    SnfDecomposition,
-    qz_solution_set,
-    smith_normal_form,
-    solve_qz,
-    verify_qz,
-)
-from .structure import (
-    DilationReport,
-    SliceReport,
-    Window2D,
-    cesaro_average,
-    complement,
-    coset_slice,
-    dilation_check,
-    slicing_periodicity_check,
-    wedge,
-)
+from . import annihilator, cyclotomic, errors, groups, multitile, qzlinear, structure
+from .annihilator import *
+from .cyclotomic import *
+from .errors import *
+from .groups import *
+from .multitile import *
+from .qzlinear import *
+from .structure import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnihilatorVerdict",
-    "BlockTrace",
-    "BudgetExceededError",
-    "CapacityError",
-    "CharacterVector",
-    "CycElement",
-    "DilationReport",
-    "FinMap",
-    "GroupSpec",
-    "HALF",
-    "InputError",
-    "IntMatrix",
-    "MinimalTuple",
-    "MultitileVerdict",
-    "PeriodicMap",
-    "Quotient",
-    "QzSolutionSet",
-    "RationalMod1",
-    "SearchBudget",
-    "SliceReport",
-    "SnfDecomposition",
-    "TorusAssignment",
-    "Window2D",
-    "ZERO",
-    "box_refute",
-    "cesaro_average",
-    "complement",
-    "convolve",
-    "convolve_periodic",
-    "coset_slice",
-    "cyclotomic_poly",
-    "decide_level_shift",
-    "decide_multitile",
-    "decide_zero_annihilator",
-    "difference",
-    "dilate",
-    "dilation_check",
-    "enumerate_minimal_tuples",
-    "is_minimal_vanishing",
-    "l1_norm",
-    "mann_bound",
-    "periodic_search",
-    "pushforward",
-    "quotient_by",
-    "retraction_coeff0",
-    "slicing_periodicity_check",
-    "smith_normal_form",
-    "solve_qz",
-    "sum_roots_is_zero",
-    "unit_expansion",
-    "verify_annihilator",
-    "verify_multitile",
-    "verify_qz",
-    "wedge",
-    "witness_periodic_annihilator",
-    "__version__",
-]
+    name
+    for module in (annihilator, cyclotomic, errors, groups, multitile, qzlinear, structure)
+    for name in module.__all__
+] + ["__version__"]

@@ -162,25 +162,22 @@ def _iter_multiset_partitions(counts: Tuple[int, ...]):
 
 _FLOAT_TABLE_CAP = 20000
 _PREFILTER_TOL = 1e-7
+# Largest candidate space one partition may enumerate.  Far above a single
+# 8-term block on Z^3 (210^3), and a range that itertools.product would
+# materialize (2 * 10^9 for delta(0) + delta(10^9) on Z) is refused at once
+# instead of running out of memory.
+_CANDIDATE_CAP = 10**8
 
 
-def _solve_partition(group: GroupSpec, types, partition):
+def _solve_partition(group: GroupSpec, terms, blocks):
     """Try one partition; return (etas, xi0s, block omegas) or None.
 
-    ``types`` is the list of distinct expansion terms ``(elem, eps)``;
-    ``partition`` a tuple of per-type count vectors.
+    ``terms`` is the unit expansion ``(elem, eps)`` of f; ``blocks`` a tuple
+    of blocks of term indices.
     """
     r = group.rank
-    nblocks = len(partition)
+    nblocks = len(blocks)
     cols = r + nblocks
-
-    # ordered block positions: type indices repeated by count, sorted
-    blocks: List[List[int]] = []
-    for block in partition:
-        pos: List[int] = []
-        for ti, cnt in enumerate(block):
-            pos.extend([ti] * cnt)
-        blocks.append(pos)
 
     rows: List[List[int]] = []
     rhs: List[RationalMod1] = []
@@ -192,8 +189,8 @@ def _solve_partition(group: GroupSpec, types, partition):
     functionals: List[Tuple[List[int], RationalMod1]] = []  # (row of L_p, eps_p) per position
     for bi, pos in enumerate(blocks):
         mk = mann_bound(len(pos))
-        for p, ti in enumerate(pos):
-            elem, eps = types[ti]
+        for p, i in enumerate(pos):
+            elem, eps = terms[i]
             lrow = [-elem[j] for j in range(r)] + [0] * nblocks
             lrow[r + bi] = 1
             functionals.append((lrow, eps))
@@ -207,6 +204,11 @@ def _solve_partition(group: GroupSpec, types, partition):
     sol = qz_solution_set(IntMatrix(rows), rhs)
     if sol is None:
         return None
+    if sol.count > _CANDIDATE_CAP:
+        raise CapacityError(
+            f"partition has {sol.count} character candidates, beyond the"
+            f" {_CANDIDATE_CAP} cap of this build"
+        )
 
     # phase of position p at candidate x:  omega_p = eps_p + L_p(x)
     base = []
@@ -332,18 +334,23 @@ def decide_zero_annihilator(group: GroupSpec, f: FinMap, cap: int = 8) -> Annihi
     if _no_killing_character(group, f, n):
         return AnnihilatorVerdict("NO")
 
+    # identical terms are adjacent in the unit expansion, so each term type
+    # owns a contiguous run of term indices
     terms = unit_expansion(f)
-    types: List[Tuple[tuple, RationalMod1]] = []
-    counts: List[int] = []
-    for term in terms:
-        if types and types[-1] == term:
-            counts[-1] += 1
-        else:
-            types.append(term)
-            counts.append(1)
+    counts = [len(list(run)) for _, run in itertools.groupby(terms)]
+    offsets = list(itertools.accumulate(counts, initial=0))
 
     for partition in _iter_multiset_partitions(tuple(counts)):
-        got = _solve_partition(group, types, partition)
+        # each block takes the lowest unused terms of each type
+        next_free = offsets[:-1]
+        blocks = []
+        for block in partition:
+            idx = []
+            for ti, cnt in enumerate(block):
+                idx.extend(range(next_free[ti], next_free[ti] + cnt))
+                next_free[ti] += cnt
+            blocks.append(tuple(idx))
+        got = _solve_partition(group, terms, blocks)
         if got is None:
             continue
         etas, xi0s, omegas = got
@@ -351,29 +358,9 @@ def decide_zero_annihilator(group: GroupSpec, f: FinMap, cap: int = 8) -> Annihi
         witness = witness_periodic_annihilator(group, chi)
         if not verify_annihilator(f, witness):  # pragma: no cover - internal guard
             raise AssertionError("witness failed re-verification; decider is broken")
-        trace = _build_trace(counts, partition, omegas, xi0s)
+        trace = tuple(map(BlockTrace, blocks, omegas, xi0s))
         return AnnihilatorVerdict("YES", chi, witness, trace)
     return AnnihilatorVerdict("NO")
-
-
-def _build_trace(counts, partition, omegas, xi0s) -> tuple:
-    # concrete term indices: each type occupies a contiguous range in the
-    # unit expansion; blocks consume the lowest unused index of each type
-    offsets = []
-    acc = 0
-    for c in counts:
-        offsets.append(acc)
-        acc += c
-    next_free = list(offsets)
-    out = []
-    for block, omega, xi0 in zip(partition, omegas, xi0s):
-        idx = []
-        for ti, cnt in enumerate(block):
-            for _ in range(cnt):
-                idx.append(next_free[ti])
-                next_free[ti] += 1
-        out.append(BlockTrace(tuple(idx), tuple(omega), xi0))
-    return tuple(out)
 
 
 def witness_periodic_annihilator(group: GroupSpec, chi: CharacterVector) -> PeriodicMap:

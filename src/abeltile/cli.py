@@ -48,7 +48,6 @@ from .cyclotomic import enumerate_minimal_tuples
 from .errors import BudgetExceededError, CapacityError, InputError
 from .groups import FinMap, GroupSpec, PeriodicMap, convolve_periodic
 from .multitile import SearchBudget, TorusAssignment, decide_multitile, verify_multitile
-from .qzlinear import RationalMod1
 from .structure import coset_slice, dilation_check
 
 __all__ = ["ProblemFile", "parse_problem", "run", "main"]
@@ -211,10 +210,6 @@ def _load(path: str) -> ProblemFile:
 # serialization helpers
 
 
-def _rat(r: RationalMod1) -> str:
-    return f"{r.numerator}/{r.denominator}"
-
-
 def _finmap_json(f: FinMap) -> list:
     return [
         {"elem": list(x), "coeff": f.coeff(x)} for x in f.support()
@@ -246,13 +241,13 @@ def _cmd_decide_annihilator(ns) -> Tuple[dict, int]:
         chi = verdict.witness_character
         wit = verdict.witness_map
         payload["certificate"] = {
-            "character": [_rat(e) for e in chi.etas],
+            "character": [str(e) for e in chi.etas],
             "witness": {"period": wit.period, "values": list(wit.values)},
             "blocks": [
                 {
                     "terms": list(b.term_indices),
-                    "omega": [_rat(o) for o in b.omega],
-                    "xi0": _rat(b.xi0),
+                    "omega": [str(o) for o in b.omega],
+                    "xi0": str(b.xi0),
                 }
                 for b in verdict.partition_trace
             ],
@@ -314,12 +309,12 @@ def _cmd_verify(ns) -> Tuple[dict, int]:
 
 
 def _cmd_omega(ns) -> Tuple[dict, int]:
-    tuples = enumerate_minimal_tuples(ns.k, cap=ns.cap)
+    tuples = enumerate_minimal_tuples(ns.k)
     payload = {
         "command": ns.command,
         "answer": "OK",
         "k": ns.k,
-        "tuples": [[_rat(e) for e in t.entries] for t in tuples],
+        "tuples": [[str(e) for e in t.entries] for t in tuples],
     }
     return payload, 0
 
@@ -397,7 +392,6 @@ def _build_parser() -> _Parser:
 
     p = add("omega", _cmd_omega, help="canonical minimal vanishing phase tuples")
     p.add_argument("--k", type=int, required=True, help="tuple length")
-    p.add_argument("--cap", type=int, default=6, help="largest allowed k")
 
     p = add("dilate-check", _cmd_dilate_check,
             help="is f*a = g stable under support dilation?")

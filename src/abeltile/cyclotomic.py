@@ -3,11 +3,14 @@
 An element of Z[zeta_L] is an integer coefficient vector in the power basis
 ``1, zeta, ..., zeta^(phi(L)-1)`` modulo the L-th cyclotomic polynomial; since
 that polynomial is the minimal polynomial of zeta_L, "all coefficients zero"
-*is* the zero test, with no numerics involved.  On top of that this module
-enumerates the minimal vanishing tuples used by the annihilator decider: the
-ordered tuples ``(0, t_2, ..., t_k)`` of elements of Q/Z whose unit vectors
-sum to zero with no vanishing proper subset, all orders dividing the product
-of primes up to k.
+*is* the zero test, with no numerics involved.  One top-down reduction
+modulo Phi_L serves the zero test and ``CycElement.root_power``; the witness
+reads only the coefficient of 1 in ``zeta_L^t``, and gets it for every t from
+a cached column of L integers built by the Phi_L recurrence.  On top of that
+this module enumerates the minimal vanishing tuples used by the annihilator
+decider: the ordered tuples ``(0, t_2, ..., t_k)`` of elements of Q/Z whose
+unit vectors sum to zero with no vanishing proper subset, all orders dividing
+the product of primes up to k.
 """
 
 from __future__ import annotations
@@ -106,30 +109,48 @@ _TABLE_LEVEL_CAP = 5_000
 _ZERO_TEST_LEVEL_CAP = 10_000
 
 
-@lru_cache(maxsize=None)
-def _monomial_table(L: int) -> tuple:
-    """Power-basis coefficient vectors of ``x^t mod Phi_L`` for 0 <= t < L."""
+def _check_table_level(L: int) -> None:
     if L > _TABLE_LEVEL_CAP:
         raise CapacityError(
             f"cyclotomic level {L} exceeds the power-basis table cap {_TABLE_LEVEL_CAP}"
         )
+
+
+def _reduce(counts: list, L: int) -> list:
+    """Power-basis coefficients of ``sum_t counts[t] x^t mod Phi_L``.
+
+    Reduces top-down in place; Phi_L is monic, so the arithmetic stays in
+    the integers.  ``counts`` has length L.
+    """
     phi = cyclotomic_poly(L)
     deg = len(phi) - 1
-    rows = []
-    row = [0] * deg
-    row[0] = 1
-    for _ in range(L):
-        rows.append(tuple(row))
-        lead = row[deg - 1]
-        nxt = [0] * deg
-        for j in range(deg - 1, 0, -1):
-            nxt[j] = row[j - 1]
+    for i in range(L - 1, deg - 1, -1):
+        lead = counts[i]
         if lead:
-            # x^deg = -(phi[0] + phi[1] x + ... + phi[deg-1] x^(deg-1))
+            counts[i] = 0
+            base = i - deg
             for j in range(deg):
-                nxt[j] -= lead * phi[j]
-        row = nxt
-    return tuple(rows)
+                counts[base + j] -= lead * phi[j]
+    return counts[:deg]
+
+
+@lru_cache(maxsize=None)
+def _coeff0_column(L: int) -> tuple:
+    """Coefficient of 1 in ``x^t mod Phi_L`` for 0 <= t < L.
+
+    x^t = x^(t-d) x^d with x^d = -(phi_0 + ... + phi_(d-1) x^(d-1)) mod Phi_L,
+    d = phi(L), and taking a coefficient is linear.
+    """
+    _check_table_level(L)
+    phi = cyclotomic_poly(L)
+    deg = len(phi) - 1
+    terms = [(j, p) for j, p in enumerate(phi[:deg]) if p]
+    col = [0] * L
+    col[0] = 1
+    for t in range(deg, L):
+        base = t - deg
+        col[t] = -sum(p * col[base + j] for j, p in terms)
+    return tuple(col)
 
 
 @dataclass(frozen=True)
@@ -157,7 +178,10 @@ class CycElement:
     @classmethod
     def root_power(cls, L: int, t: int) -> "CycElement":
         """zeta_L ** t, reduced into the power basis."""
-        return cls(L, _monomial_table(L)[t % L])
+        _check_table_level(L)
+        counts = [0] * L
+        counts[t % L] = 1
+        return cls(L, tuple(_reduce(counts, L)))
 
     @property
     def is_zero(self) -> bool:
@@ -191,18 +215,7 @@ def _zero_sum_cached(key: tuple) -> bool:
     counts = [0] * L
     for n, d in key:
         counts[n * (L // d)] += 1
-    # reduce the exponent-count polynomial modulo Phi_L top-down; Phi_L is
-    # monic, so the arithmetic stays in the integers
-    phi = cyclotomic_poly(L)
-    deg = len(phi) - 1
-    for i in range(L - 1, deg - 1, -1):
-        lead = counts[i]
-        if lead:
-            counts[i] = 0
-            base = i - deg
-            for j in range(deg):
-                counts[base + j] -= lead * phi[j]
-    return not any(counts[:deg])
+    return not any(_reduce(counts, L))
 
 
 def sum_roots_is_zero(thetas: Sequence[RationalMod1]) -> bool:
@@ -285,7 +298,12 @@ class MinimalTuple:
         return tuple(e.as_fraction() for e in self.entries)
 
 
-def enumerate_minimal_tuples(k: int, cap: int = 6) -> tuple:
+# The enumeration grows steeply with k: at k = 7 it does not finish in a
+# minute, so longer tuples are refused.
+_TUPLE_LENGTH_CAP = 6
+
+
+def enumerate_minimal_tuples(k: int) -> tuple:
     """All rotation-canonical ordered minimal vanishing k-tuples, sorted.
 
     Depth-first enumeration of candidate multisets over the (1/M_k)-grid
@@ -301,9 +319,9 @@ def enumerate_minimal_tuples(k: int, cap: int = 6) -> tuple:
     """
     if k < 2:
         raise InputError("tuples of length < 2 cannot vanish")
-    if k > cap:
+    if k > _TUPLE_LENGTH_CAP:
         raise CapacityError(
-            f"minimal-tuple enumeration for k={k} exceeds the configured cap {cap}"
+            f"minimal-tuple enumeration for k={k} exceeds the configured cap {_TUPLE_LENGTH_CAP}"
         )
     M = mann_bound(k)
     unit = [cmath.exp(2j * cmath.pi * t / M) for t in range(M)]
@@ -339,7 +357,10 @@ def retraction_coeff0(theta: RationalMod1, L: int) -> int:
     A Z-linear functional on Z[zeta_L] that maps 1 to 1 — the computable
     stand-in for a retraction homomorphism onto the rationals.  Reducing a
     monomial keeps integer coefficients, so no denominator-clearing factor is
-    ever needed.
+    ever needed.  The value is read from a per-level column of L integers,
+    ``c_t = -sum_(j<d) phi_j c_(t-d+j)`` with d = phi(L) and ``c_t = [t = 0]``
+    for t < d, cached after the first call; levels above 5,000 are refused
+    with CapacityError.
 
     >>> retraction_coeff0(RationalMod1(0), 5)
     1
@@ -353,4 +374,4 @@ def retraction_coeff0(theta: RationalMod1, L: int) -> int:
     if L % theta.denominator != 0:
         raise InputError(f"denominator of {theta} does not divide level {L}")
     t = theta.numerator * (L // theta.denominator)
-    return _monomial_table(L)[t][0]
+    return _coeff0_column(L)[t]

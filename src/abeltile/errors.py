@@ -5,6 +5,8 @@ bad or mismatched input is not the same thing as an enumeration that would
 blow a configured capacity, and neither is a search that ran out of nodes.
 """
 
+__all__ = ["InputError", "CapacityError", "BudgetExceededError"]
+
 
 class InputError(ValueError):
     """Malformed, mismatched, or degenerate input (wrong group, bad schema)."""

@@ -105,6 +105,21 @@ def test_decider_capacity_error():
         decide_zero_annihilator(Z, HARD_NO, cap=4)  # l1 = 8 > 4
 
 
+def test_partition_beyond_the_candidate_cap_is_refused():
+    # a killing character exists, but the Q/Z solve of the single block
+    # leaves 2 * 10^9 candidates to enumerate
+    with pytest.raises(CapacityError):
+        decide_zero_annihilator(Z, FinMap(Z, {(0,): 1, (10**9,): 1}))
+
+
+def test_large_order_witness_reverifies():
+    f = FinMap(Z, {(0,): 1, (1999,): 1})
+    v = decide_zero_annihilator(Z, f)
+    assert v.is_yes
+    assert v.witness_map.period == 3998
+    assert verify_annihilator(f, v.witness_map)
+
+
 def test_decider_is_deterministic():
     a = decide_zero_annihilator(Z, TRIPLE)
     b = decide_zero_annihilator(Z, TRIPLE)

@@ -192,6 +192,17 @@ def test_cli_decide_zero_capacity(tmp_path, capsys):
     assert "capacity" in payload["error"]
 
 
+def test_cli_decide_zero_refuses_a_partition_beyond_the_candidate_cap(tmp_path, capsys):
+    far = {
+        "group": {"free_rank": 1},
+        "f": [{"elem": [0], "coeff": 1}, {"elem": [10**9], "coeff": 1}],
+    }
+    code, payload, _ = _run(capsys, ["decide-zero", _write(tmp_path, far)])
+    assert code == 4
+    assert payload["answer"] == "ERROR"
+    assert "candidates" in payload["error"]
+
+
 def test_cli_decide_zero_no_on_far_apart_points(tmp_path, capsys):
     # a NO, not a crash: the Q/Z solve for this f has shift moduli near 10^10
     far = {

@@ -3,10 +3,12 @@ tuples, and the coefficient-of-1 retraction."""
 
 import cmath
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from abeltile import cyclotomic
 from abeltile import (
     CapacityError,
     CycElement,
@@ -158,8 +160,6 @@ def test_every_tuple_is_valid(k):
 def test_tuples_capacity_and_input_errors():
     with pytest.raises(CapacityError):
         enumerate_minimal_tuples(7)
-    with pytest.raises(CapacityError):
-        enumerate_minimal_tuples(5, cap=4)
     with pytest.raises(InputError):
         enumerate_minimal_tuples(1)
 
@@ -193,6 +193,32 @@ def test_retraction_linearity():
         assert total.coeff0() == sum(
             retraction_coeff0(r(t, level), level) for t in powers
         )
+
+
+def test_retraction_column_matches_reduced_monomials():
+    for level in range(1, 301):
+        for t in range(level):
+            want = CycElement.root_power(level, t).coeff0()
+            assert retraction_coeff0(r(t, level), level) == want, (level, t)
+
+
+def test_retraction_column_stays_small():
+    # one integer per power of zeta, not a reduced vector per power
+    cyclotomic._coeff0_column.cache_clear()
+    tracemalloc.start()
+    try:
+        retraction_coeff0(r(1, 2000), 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_power_basis_levels_beyond_the_cap_are_refused():
+    with pytest.raises(CapacityError):
+        retraction_coeff0(r(1, 5001), 5001)
+    with pytest.raises(CapacityError):
+        CycElement.root_power(5001, 1)
 
 
 def test_cyc_element_zero_iff_sum_vanishes():
