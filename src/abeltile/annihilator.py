@@ -46,7 +46,7 @@ from .cyclotomic import (
     retraction_coeff0,
     sum_roots_is_zero,
 )
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, _want_int
 from .groups import FinMap, GroupSpec, PeriodicMap, convolve_periodic, l1_norm, unit_expansion
 from .qzlinear import ZERO, IntMatrix, RationalMod1, qz_solution_set
 
@@ -324,6 +324,7 @@ def decide_zero_annihilator(group: GroupSpec, f: FinMap, cap: int = 8) -> Annihi
     cap a CapacityError is raised so that an undecided instance can never read
     as a NO.
     """
+    _want_int(cap, "cap", 1)
     if f.group != group:
         raise InputError("f lives on a different group")
     if f.is_zero:

@@ -45,7 +45,7 @@ from .annihilator import (
     verify_annihilator,
 )
 from .cyclotomic import enumerate_minimal_tuples
-from .errors import BudgetExceededError, CapacityError, InputError
+from .errors import BudgetExceededError, CapacityError, InputError, _want_int
 from .groups import FinMap, GroupSpec, PeriodicMap, convolve_periodic
 from .multitile import SearchBudget, TorusAssignment, decide_multitile, verify_multitile
 from .structure import coset_slice, dilation_check
@@ -71,13 +71,6 @@ class ProblemFile:
 def _want(obj, path: str, kind, what: str):
     if not isinstance(obj, kind) or isinstance(obj, bool):
         raise InputError(f"{path}: expected {what}, got {obj!r}")
-    return obj
-
-
-def _want_int(obj, path: str, minimum: Optional[int] = None) -> int:
-    _want(obj, path, int, "an integer")
-    if minimum is not None and obj < minimum:
-        raise InputError(f"{path}: expected an integer >= {minimum}, got {obj}")
     return obj
 
 
@@ -231,12 +224,11 @@ def _parse_vec(text: str, flag: str) -> Tuple[int, int]:
 # subcommands
 
 
-def _cmd_decide_annihilator(ns) -> Tuple[dict, int]:
-    problem = _load(ns.problem)
+def _cmd_decide_annihilator(ns, problem: ProblemFile) -> Tuple[dict, int]:
     # the decider is looked up by name at call time, so a rebound module
     # global (a wrapped decider) is the one that runs
     verdict = globals()[ns.decide](problem.group, problem.f, cap=ns.cap_n)
-    payload = {"command": ns.command, "answer": verdict.answer}
+    payload = {"answer": verdict.answer}
     if verdict.is_yes:
         chi = verdict.witness_character
         wit = verdict.witness_map
@@ -255,8 +247,7 @@ def _cmd_decide_annihilator(ns) -> Tuple[dict, int]:
     return payload, 0 if verdict.is_yes else 1
 
 
-def _cmd_decide_multitile(ns) -> Tuple[dict, int]:
-    problem = _load(ns.problem)
+def _cmd_decide_multitile(ns, problem: ProblemFile) -> Tuple[dict, int]:
     if problem.g is None:
         raise InputError("decide-multitile needs a 'g' section")
     flags = {"max_q": ns.max_q, "max_box_radius": ns.max_box, "max_nodes": ns.budget_nodes}
@@ -264,11 +255,7 @@ def _cmd_decide_multitile(ns) -> Tuple[dict, int]:
         problem.budget, **{name: v for name, v in flags.items() if v is not None}
     )
     verdict = decide_multitile(problem.f, problem.g, budget)
-    payload = {
-        "command": ns.command,
-        "answer": verdict.answer,
-        "nodes_used": verdict.nodes_used,
-    }
+    payload = {"answer": verdict.answer, "nodes_used": verdict.nodes_used}
     if verdict.answer == "YES":
         payload["certificate"] = {
             "q": verdict.certificate.q,
@@ -284,8 +271,7 @@ def _cmd_decide_multitile(ns) -> Tuple[dict, int]:
     return payload, 2
 
 
-def _cmd_verify(ns) -> Tuple[dict, int]:
-    problem = _load(ns.problem)
+def _cmd_verify(ns, problem: ProblemFile) -> Tuple[dict, int]:
     if problem.g is not None:
         if problem.cert is not None:
             ok = verify_multitile(problem.f, problem.g, problem.cert)
@@ -300,18 +286,12 @@ def _cmd_verify(ns) -> Tuple[dict, int]:
             raise InputError("verify needs an 'a' section (annihilator mode)")
         ok = verify_annihilator(problem.f, problem.a)
         mode = "annihilator"
-    payload = {
-        "command": ns.command,
-        "answer": "PASS" if ok else "FAIL",
-        "mode": mode,
-    }
-    return payload, 0 if ok else 1
+    return {"answer": "PASS" if ok else "FAIL", "mode": mode}, 0 if ok else 1
 
 
-def _cmd_omega(ns) -> Tuple[dict, int]:
+def _cmd_omega(ns, problem: Optional[ProblemFile]) -> Tuple[dict, int]:
     tuples = enumerate_minimal_tuples(ns.k)
     payload = {
-        "command": ns.command,
         "answer": "OK",
         "k": ns.k,
         "tuples": [[str(e) for e in t.entries] for t in tuples],
@@ -319,14 +299,12 @@ def _cmd_omega(ns) -> Tuple[dict, int]:
     return payload, 0
 
 
-def _cmd_dilate_check(ns) -> Tuple[dict, int]:
-    problem = _load(ns.problem)
+def _cmd_dilate_check(ns, problem: ProblemFile) -> Tuple[dict, int]:
     if problem.a is None or problem.g is None or problem.dilation is None:
         raise InputError("dilate-check needs 'a', 'g', and 'dilation' sections")
     q, r_list = problem.dilation
     report = dilation_check(problem.f, problem.a, problem.g, q, r_list)
     payload = {
-        "command": ns.command,
         "answer": "PASS" if report.all_pass else "FAIL",
         "q": report.q,
         "results": [{"r": r, "pass": ok} for r, ok in report.results],
@@ -334,17 +312,10 @@ def _cmd_dilate_check(ns) -> Tuple[dict, int]:
     return payload, 0 if report.all_pass else 1
 
 
-def _cmd_slice(ns) -> Tuple[dict, int]:
-    problem = _load(ns.problem)
+def _cmd_slice(ns, problem: ProblemFile) -> Tuple[dict, int]:
     w = _parse_vec(ns.w, "--w")
     x = _parse_vec(ns.x, "--x")
-    part = coset_slice(problem.f, x, w)
-    payload = {
-        "command": ns.command,
-        "answer": "OK",
-        "slice": _finmap_json(part),
-    }
-    return payload, 0
+    return {"answer": "OK", "slice": _finmap_json(coset_slice(problem.f, x, w))}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +397,8 @@ def _emit(payload: dict, started: float, json_out: Optional[str], code: int) -> 
 
 
 def run(argv: Sequence[str]) -> int:
+    """Answer one command line: load its problem file, if it takes one, run
+    the subcommand, and print its verdict fields under the ``command`` key."""
     started = time.perf_counter()
     json_out = None
     command = None
@@ -433,17 +406,19 @@ def run(argv: Sequence[str]) -> int:
         ns = _build_parser().parse_args(list(argv))
         json_out = ns.json_out
         command = ns.command
-        payload, code = ns.fn(ns)
+        problem = _load(ns.problem) if "problem" in ns else None
+        payload, code = ns.fn(ns, problem)
     except InputError as e:
-        payload, code = {"command": command, "answer": "ERROR", "error": str(e)}, 3
+        payload, code = {"answer": "ERROR", "error": str(e)}, 3
     except CapacityError as e:
-        payload, code = {"command": command, "answer": "ERROR", "error": str(e)}, 4
+        payload, code = {"answer": "ERROR", "error": str(e)}, 4
     except BudgetExceededError as e:
-        payload, code = {"command": command, "answer": "UNKNOWN", "error": str(e)}, 2
+        payload, code = {"answer": "UNKNOWN", "error": str(e)}, 2
     except Exception as e:  # a crash must not exit 1, which reads as NO
         traceback.print_exc()
         error = f"internal error: {type(e).__name__}: {e}"
-        payload, code = {"command": command, "answer": "ERROR", "error": error}, 5
+        payload, code = {"answer": "ERROR", "error": error}, 5
+    payload["command"] = command
     return _emit(payload, started, json_out, code)
 
 

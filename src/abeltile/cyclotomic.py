@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, _want_int
 from .qzlinear import ZERO, RationalMod1
 
 __all__ = [
@@ -90,8 +90,7 @@ def cyclotomic_poly(L: int) -> tuple:
     >>> cyclotomic_poly(12)
     (1, 0, -1, 0, 1)
     """
-    if L < 1:
-        raise InputError("level must be a positive integer")
+    _want_int(L, "level", 1)
     if L == 1:
         return (-1, 1)
     prod = (1,)
@@ -271,8 +270,7 @@ def mann_bound(k: int) -> int:
     >>> [mann_bound(k) for k in range(1, 9)]
     [1, 2, 6, 6, 30, 30, 210, 210]
     """
-    if k < 1:
-        raise InputError("mann_bound wants k >= 1")
+    _want_int(k, "k", 1)
     out = 1
     for p in range(2, k + 1):
         if all(p % q for q in range(2, int(p**0.5) + 1)):
@@ -369,8 +367,7 @@ def retraction_coeff0(theta: RationalMod1, L: int) -> int:
     >>> retraction_coeff0(RationalMod1(1, 3), 3)
     0
     """
-    if L < 1:
-        raise InputError("level must be a positive integer")
+    _want_int(L, "level", 1)
     if L % theta.denominator != 0:
         raise InputError(f"denominator of {theta} does not divide level {L}")
     t = theta.numerator * (L // theta.denominator)

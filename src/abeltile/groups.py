@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .errors import InputError
+from .errors import InputError, _want_int
 from .qzlinear import HALF, ZERO, IntMatrix, RationalMod1, smith_normal_form
 
 __all__ = [
@@ -47,12 +47,10 @@ class GroupSpec:
     torsion: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.free_rank, int) or self.free_rank < 0:
-            raise InputError("free_rank must be a non-negative integer")
+        _want_int(self.free_rank, "free_rank", 0)
         object.__setattr__(self, "torsion", tuple(self.torsion))
         for n in self.torsion:
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                raise InputError("torsion moduli must be integers >= 1")
+            _want_int(n, "torsion modulus", 1)
 
     @property
     def rank(self) -> int:
@@ -193,8 +191,7 @@ class PeriodicMap:
     __slots__ = ("group", "period", "values", "_strides")
 
     def __init__(self, group: GroupSpec, period: int, values: Sequence[int]) -> None:
-        if not isinstance(period, int) or period < 1:
-            raise InputError("period must be a positive integer")
+        _want_int(period, "period", 1)
         self.group = group
         self.period = period
         vals = tuple(values)
@@ -317,8 +314,7 @@ def convolve_periodic(f: FinMap, a: PeriodicMap) -> PeriodicMap:
 
 def dilate(f: FinMap, r: int) -> FinMap:
     """Push each support point x to r*x, summing coefficients on collisions."""
-    if not isinstance(r, int) or r < 1:
-        raise InputError("dilation factor must be a positive integer")
+    _want_int(r, "dilation factor", 1)
     g = f.group
     return FinMap(g, [(g.scale(r, x), c) for x, c in f.entries.items()])
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product, zip_longest
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, _want_int
 from .groups import FinMap, GroupSpec, PeriodicMap, convolve_periodic
 
 __all__ = [
@@ -44,8 +44,7 @@ class TorusAssignment:
     bits: Tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.q, int) or isinstance(self.q, bool) or self.q < 1:
-            raise InputError("torus side must be a positive integer")
+        _want_int(self.q, "torus side", 1)
         bits = tuple(self.bits)
         if len(bits) != self.q * self.q:
             raise InputError(f"expected {self.q * self.q} bits, got {len(bits)}")
@@ -75,9 +74,7 @@ class SearchBudget:
 
     def __post_init__(self):
         for name in ("max_q", "max_box_radius", "max_nodes"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise InputError(f"{name} must be a positive integer")
+            _want_int(getattr(self, name), name, 1)
 
 
 @dataclass(frozen=True)
@@ -235,6 +232,7 @@ def _search(f: FinMap, g: PeriodicMap, cells, index, nvars: int, max_nodes: int)
     """(lex-least a ∈ {0,1}^nvars or None, nodes) for the constraints
     sum(c·a[index(x − y)] for c·δ_y in f) = g(x), one per x in cells: the torus
     and the box differ only in their cells and in how index maps Z² to a cell."""
+    _want_int(max_nodes, "max_nodes", 1)
     supp = [(y, f.coeff(y)) for y in f.support()]
     constraints = [
         ([(index(x[0] - y[0], x[1] - y[1]), c) for y, c in supp], g.value(x))
@@ -245,8 +243,7 @@ def _search(f: FinMap, g: PeriodicMap, cells, index, nvars: int, max_nodes: int)
 
 def _torus(f: FinMap, g: PeriodicMap, q: int, max_nodes: int):
     _require_z2(f, g)
-    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-        raise InputError("torus side must be a positive integer")
+    _want_int(q, "torus side", 1)
     if q % g.period != 0:
         raise InputError(f"torus side {q} is not a multiple of g's period {g.period}")
     cells = product(range(q), repeat=2)  # indexed by the quotient map Z² → Z²/qZ²
@@ -265,8 +262,7 @@ def periodic_search(
 
 def _box(f: FinMap, g: PeriodicMap, n: int, max_nodes: int):
     _require_z2(f, g)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise InputError("box radius must be a non-negative integer")
+    _want_int(n, "box radius", 0)
     r = n + max((max(abs(y[0]), abs(y[1])) for y in f.support()), default=0)
     side = 2 * r + 1
     cells = product(range(-n, n + 1), repeat=2)  # indexed by the offset into the window

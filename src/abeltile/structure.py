@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Sequence, Tuple
 
-from .errors import InputError
+from .errors import InputError, _want_int
 from .groups import (
     FinMap,
     GroupSpec,
@@ -126,8 +126,7 @@ def dilation_check(
     (it can legitimately fail when q lacks the divisibility the stability
     statement needs, and such failures are data, not errors).
     """
-    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-        raise InputError("q must be a positive integer")
+    _want_int(q, "q", 1)
     base = convolve_periodic(f, a)
     if not base.equals(g):
         diff = [
@@ -141,8 +140,7 @@ def dilation_check(
         )
     results = []
     for r in r_list:
-        if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-            raise InputError("dilation factors must be positive integers")
+        _want_int(r, "r", 1)
         if r % q != 1 % q:
             raise InputError(f"r = {r} is not congruent to 1 modulo q = {q}")
         results.append((r, convolve_periodic(dilate(f, r), a).equals(g)))
@@ -273,8 +271,7 @@ def cesaro_average(a: Window2D, v: Sequence[int], n_terms: int) -> Window2D:
     any v-periodic window exactly on the shrunken domain.
     """
     v = _vec2(v)
-    if not isinstance(n_terms, int) or isinstance(n_terms, bool) or n_terms < 1:
-        raise InputError("the number of averaged terms must be a positive integer")
+    _want_int(n_terms, "n_terms", 1)
     # x + n*v must stay in bounds for n = 1..N, per axis
     vx, vy = v
 

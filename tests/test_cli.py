@@ -192,6 +192,17 @@ def test_cli_decide_zero_capacity(tmp_path, capsys):
     assert "capacity" in payload["error"]
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cli_cap_below_one_is_malformed_input(tmp_path, capsys, cap):
+    code, payload, _ = _run(capsys, ["decide-zero", _write(tmp_path, DOMINO_Z), "--cap-n", cap])
+    assert code == 3
+    assert payload == {
+        "answer": "ERROR",
+        "command": "decide-zero",
+        "error": f"cap: expected an integer >= 1, got {cap}",
+    }
+
+
 def test_cli_decide_zero_refuses_a_partition_beyond_the_candidate_cap(tmp_path, capsys):
     far = {
         "group": {"free_rank": 1},
@@ -450,6 +461,40 @@ def test_cli_deep_diagonal_does_not_exit_one(tmp_path, capsys):
     assert payload["answer"] != "NO"
     assert code == 2
     assert payload["answer"] == "UNKNOWN"
+
+
+ENVELOPE_CASES = {
+    "decide-zero": (DOMINO_Z, [], 0),
+    "decide-levelshift": (DOMINO_Z, [], 0),
+    "decide-multitile": (DOMINO_PLANE, [], 0),
+    "verify": (dict(DOMINO_Z, a={"period": 2, "values": [1, -1]}), [], 0),
+    "dilate-check": (
+        dict(
+            DOMINO_Z,
+            a={"period": 2, "values": [1, -1]},
+            g={"period": 1, "values": [0]},
+            dilation={"q": 2, "r_list": [3]},
+        ),
+        [],
+        0,
+    ),
+    "slice": (DOMINO_PLANE, ["--w", "1,0", "--x", "0,0"], 0),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENVELOPE_CASES))
+def test_cli_line_carries_its_command(tmp_path, capsys, command):
+    problem, extra, expected = ENVELOPE_CASES[command]
+    code, payload, _ = _run(capsys, [command, _write(tmp_path, problem), *extra])
+    assert (code, payload["command"]) == (expected, command)
+    code, payload, _ = _run(capsys, [command, str(tmp_path / "missing.json"), *extra])
+    assert (code, payload["command"], payload["answer"]) == (3, command, "ERROR")
+    assert payload["error"].startswith("cannot read problem file: ")
+
+
+def test_cli_omega_line_carries_its_command(capsys):
+    assert _run(capsys, ["omega", "--k", "2"])[1]["command"] == "omega"
+    assert _run(capsys, ["omega", "--k", "1"])[1]["command"] == "omega"
 
 
 def test_cli_unknown_subcommand(capsys):
