@@ -1,14 +1,20 @@
-"""Golden test of the decide-zero byte contract.
+"""Golden tests of the decide-zero and decide-multitile byte contracts.
 
 ``golden_certificates.json`` holds, for a fixed set of inputs, the exit code
 and the ``decide-zero`` JSON payload less ``timing_ms``, with the witness
 values replaced by their count and SHA-256.  The test recomputes every entry
 and names each one that differs, so a change that moves a character, a
 period, a witness or a block trace shows up here even when the verdict holds.
+Its inputs are every 100th member of the exhaustive cyclic family of the
+acceptance suite and the fixed rank <= 2 inputs of the other suites.
 
-The inputs are every 100th member of the exhaustive cyclic family of the
-acceptance suite and the fixed rank <= 2 inputs of the other suites.  To
-regenerate the fixture (only when the contract is meant to change)::
+``golden_multitile.json`` holds the same for ``decide-multitile``: every free
+hexomino and heptomino with its min corner at the origin, at g = 1 and g = 2,
+under the multitile-sweep budget, plus the staircase hexomino and the deep
+diagonal δ(0,0) + δ(12,12).  Its ``nodes_used`` and certificates pin the
+search tree of the engine, not only the verdicts.
+
+To regenerate both fixtures (only when a contract is meant to change)::
 
     PYTHONPATH=src python tests/test_golden_certificates.py --write
 """
@@ -24,7 +30,9 @@ from pathlib import Path
 
 from abeltile.cli import run
 
-FIXTURE = Path(__file__).resolve().parent / "golden_certificates.json"
+HERE = Path(__file__).resolve().parent
+FIXTURE = HERE / "golden_certificates.json"
+MULTITILE_FIXTURE = HERE / "golden_multitile.json"
 
 
 def _problem(free_rank, torsion, terms):
@@ -89,16 +97,62 @@ def _fixed_inputs():
 
 
 def _inputs():
-    yield from _cyclic_every_100th()
-    yield from _fixed_inputs()
+    for name, problem in itertools.chain(_cyclic_every_100th(), _fixed_inputs()):
+        yield name, problem, []
 
 
-def _decide(problem, path):
-    """Exit code and normalised payload of ``decide-zero`` on ``problem``."""
+_SYMMETRIES = (
+    lambda x, y: (x, y), lambda x, y: (-y, x), lambda x, y: (-x, -y),
+    lambda x, y: (y, -x), lambda x, y: (-x, y), lambda x, y: (y, x),
+    lambda x, y: (x, -y), lambda x, y: (-y, -x),
+)
+
+
+def _at_origin(cells):
+    mx = min(x for x, _ in cells)
+    my = min(y for _, y in cells)
+    return tuple(sorted((x - mx, y - my) for x, y in cells))
+
+
+def _free_polyominoes(size):
+    """The least of the eight images, min corner at the origin, of each free
+    polyomino with ``size`` cells, in sorted order."""
+    def canon(cells):
+        return min(_at_origin([t(x, y) for x, y in cells]) for t in _SYMMETRIES)
+
+    shapes = {((0, 0),)}
+    for _ in range(size - 1):
+        shapes = {canon(shape + (cell,))
+                  for shape in shapes for x, y in shape
+                  for cell in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+                  if cell not in shape}
+    return sorted(shapes)
+
+
+def _plane(terms, g):
+    return dict(_problem(2, (), terms), g={"period": 1, "values": [g]})
+
+
+def _multitile_inputs():
+    sweep = ["--max-q", "4", "--max-box", "2", "--budget-nodes", "200"]
+    for size, count in ((6, 35), (7, 108)):
+        shapes = _free_polyominoes(size)
+        assert len(shapes) == count
+        for p, cells in enumerate(shapes):
+            for g in (1, 2):
+                yield f"poly{size}-{p}-g{g}", _plane([(c, 1) for c in cells], g), sweep
+    staircase = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+    yield "staircase", _plane([(c, 1) for c in staircase], 1), []
+    yield ("deep-diagonal", _plane([((0, 0), 1), ((12, 12), 1)], 1),
+           ["--max-q", "1", "--max-box", "6"])
+
+
+def _decide(command, problem, flags, path):
+    """Exit code and normalised payload of ``command`` on ``problem``."""
     path.write_text(json.dumps(problem))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = run(["decide-zero", str(path)])
+        code = run([command, str(path), *flags])
     payload = json.loads(out.getvalue())
     del payload["timing_ms"]
     witness = payload.get("certificate", {}).get("witness")
@@ -111,24 +165,38 @@ def _decide(problem, path):
     return code, payload
 
 
-def test_decide_zero_payloads_match_golden(tmp_path):
-    entries = json.loads(FIXTURE.read_text())
-    assert len(entries) >= 450
+def _differing(command, fixture, scratch):
+    entries = json.loads(fixture.read_text())
     differ = []
     for entry in entries:
-        code, payload = _decide(entry["problem"], tmp_path / "problem.json")
+        flags = entry.get("flags", [])
+        code, payload = _decide(command, entry["problem"], flags, scratch / "problem.json")
         if code != entry["exit"] or payload != entry["payload"]:
             differ.append(entry["id"])
+    return len(entries), differ
+
+
+def test_decide_zero_payloads_match_golden(tmp_path):
+    count, differ = _differing("decide-zero", FIXTURE, tmp_path)
+    assert count >= 450
     assert not differ, f"{len(differ)} entries differ: {differ}"
 
 
-def _write_fixture(scratch):
+def test_decide_multitile_payloads_match_golden(tmp_path):
+    count, differ = _differing("decide-multitile", MULTITILE_FIXTURE, tmp_path)
+    assert count == 2 * (35 + 108) + 2
+    assert not differ, f"{len(differ)} entries differ: {differ}"
+
+
+def _write_fixture(command, fixture, inputs, scratch):
     lines = []
-    for name, problem in _inputs():
-        code, payload = _decide(problem, scratch / "problem.json")
+    for name, problem, flags in inputs:
+        code, payload = _decide(command, problem, flags, scratch / "problem.json")
         entry = {"id": name, "problem": problem, "exit": code, "payload": payload}
+        if flags:
+            entry["flags"] = flags
         lines.append(json.dumps(entry, sort_keys=True, separators=(",", ":")))
-    FIXTURE.write_text("[\n" + ",\n".join(lines) + "\n]\n")
+    fixture.write_text("[\n" + ",\n".join(lines) + "\n]\n")
     return len(lines)
 
 
@@ -138,4 +206,9 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        print(f"wrote {_write_fixture(Path(tmp))} entries to {FIXTURE}")
+        for command, fixture, inputs in (
+            ("decide-zero", FIXTURE, _inputs()),
+            ("decide-multitile", MULTITILE_FIXTURE, _multitile_inputs()),
+        ):
+            count = _write_fixture(command, fixture, inputs, Path(tmp))
+            print(f"wrote {count} entries to {fixture}")
