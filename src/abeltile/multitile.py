@@ -8,10 +8,12 @@ Whichever side lands first decides the instance; if both ladders run out the
 verdict is UNKNOWN — an honest budget statement, never a NO.
 
 Both sides build their constraints in one function, one equality per cell, and
-share one iterative backtracking engine with interval propagation: each
-constraint tracks the reachable min/max of its left side under the current
-partial assignment and forces a cell as soon as one of its two values becomes
-unreachable.  Cells no constraint reads start at 0 and never cost a branch.
+share one iterative backtracking engine with bounds propagation: each
+constraint keeps two slacks, how far its target lies above the least and
+below the greatest value its left side can still reach under the current
+partial assignment.  A value of a cell uses up one of them, and the cell is
+forced to its other value as soon as its own would overdraw the slack.  Cells
+no constraint reads start at 0 and never cost a branch.
 """
 
 from __future__ import annotations
@@ -97,92 +99,89 @@ class MultitileVerdict:
 class _Csp:
     """Equality constraints sum(c_i * x_i) = t over 0/1 cells.
 
-    Interval propagation: acc tracks the assigned part, pos/neg the remaining
-    swing, so lo = acc + neg and hi = acc + pos bound what the constraint can
-    still reach.  A cell is forced when one of its values would push lo past t
-    or pull hi below it.
+    Bounds propagation on two slacks per constraint: slot 2k holds t − lo and
+    slot 2k+1 holds hi − t, where lo and hi bound what constraint k can still
+    reach.  Each value of a cell uses up |c| of exactly one of the two slacks
+    (value 1 of a positive c raises lo, value 0 lowers hi; the other way round
+    for a negative c).  A constraint is dead when a slack is negative, and a
+    cell is forced to its other value when |c| exceeds the slack its value
+    would use.  So a constraint whose slacks both cover its largest |c| can
+    force nothing, and it is queued only when one of them falls below that.
+    These rules are monotone: every queue order reaches the same fixpoint or
+    the same dead end.
     """
 
     def __init__(self, nvars: int, constraints: Sequence[Tuple[Sequence[Tuple[int, int]], int]]):
         self.nvars = nvars
         self.trail: List[int] = []
-        self.terms: List[List[Tuple[int, int]]] = []
-        self.target: List[int] = []
-        self.acc: List[int] = []
-        self.pos: List[int] = []
-        self.neg: List[int] = []
-        self.var_cons: List[List[Tuple[int, int]]] = [[] for _ in range(nvars)]
-        for terms, t in constraints:
-            k = len(self.terms)
+        self.slack: List[int] = []
+        # per constraint: (cell, |c|, slot of value 0, slot of value 1) per live term
+        self.rows: List[List[Tuple[int, int, int, int]]] = []
+        # per cell and value: (slot, |c|, largest |c| of the slot's constraint) it uses
+        self.uses: List[Tuple[list, list]] = [([], []) for _ in range(nvars)]
+        slack = self.slack
+        for k, (terms, t) in enumerate(constraints):
             merged: Dict[int, int] = {}
             for v, c in terms:
                 merged[v] = merged.get(v, 0) + c
-            live = [(v, c) for v, c in sorted(merged.items()) if c]
-            self.terms.append(live)
-            self.target.append(t)
-            self.acc.append(0)
-            self.pos.append(sum(c for _, c in live if c > 0))
-            self.neg.append(sum(c for _, c in live if c < 0))
-            for v, c in live:
-                self.var_cons[v].append((k, c))
+            # with nothing assigned lo sums the negative c and hi the positive
+            # ones, so each term adds |c| to the slot its value 0 would use
+            slack += [t, -t]
+            row = []
+            for v, c in merged.items():
+                if c:
+                    slot0, slot1 = (2 * k + 1, 2 * k) if c > 0 else (2 * k, 2 * k + 1)
+                    slack[slot0] += abs(c)
+                    row.append((v, abs(c), slot0, slot1))
+            top = max((a for _, a, _, _ in row), default=0)
+            for v, a, slot0, slot1 in row:
+                self.uses[v][0].append((slot0, a, top))
+                self.uses[v][1].append((slot1, a, top))
+            self.rows.append(row)
         # a cell no constraint reads is free, so 0 keeps the solution lex-least
-        self.value = [-1 if cons else 0 for cons in self.var_cons]
+        self.value = [-1 if uses[0] else 0 for uses in self.uses]
 
-    def _assign(self, v: int, b: int) -> None:
+    def _assign(self, v: int, b: int, queue: List[int]) -> None:
+        """Set cell v to b and queue each constraint whose used slack falls
+        below its largest |c|."""
         self.value[v] = b
         self.trail.append(v)
-        for k, c in self.var_cons[v]:
-            self.acc[k] += c * b
-            if c > 0:
-                self.pos[k] -= c
-            else:
-                self.neg[k] -= c
+        slack = self.slack
+        for s, a, top in self.uses[v][b]:
+            slack[s] -= a
+            if slack[s] < top:
+                queue.append(s >> 1)
 
     def undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            v = self.trail.pop()
-            b = self.value[v]
-            self.value[v] = -1
-            for k, c in self.var_cons[v]:
-                self.acc[k] -= c * b
-                if c > 0:
-                    self.pos[k] += c
-                else:
-                    self.neg[k] += c
+        value, slack, uses = self.value, self.slack, self.uses
+        for v in self.trail[mark:]:
+            for s, a, _ in uses[v][value[v]]:
+                slack[s] += a
+            value[v] = -1
+        del self.trail[mark:]
 
     def propagate(self, queue: List[int]) -> bool:
         """Fixpoint over the queued constraints; False on a dead end."""
-        value = self.value
+        value, slack = self.value, self.slack
         while queue:
             k = queue.pop()
-            t = self.target[k]
-            acc, pos, neg = self.acc[k], self.pos[k], self.neg[k]
-            if acc + neg > t or acc + pos < t:
+            if slack[2 * k] < 0 or slack[2 * k + 1] < 0:
                 return False
-            for v, c in self.terms[k]:
+            for v, a, slot0, slot1 in self.rows[k]:
                 if value[v] != -1:
                     continue
-                if c > 0:
-                    force0 = acc + c + neg > t
-                    force1 = acc + pos - c < t
-                else:
-                    force0 = acc + c + pos < t
-                    force1 = acc + neg - c > t
-                if force0 and force1:
-                    return False
-                if force0 or force1:
-                    b = 1 if force1 else 0
-                    self._assign(v, b)
-                    for k2, _ in self.var_cons[v]:
-                        queue.append(k2)
-                    # this constraint's own bounds moved; rescan it
-                    queue.append(k)
-                    break
+                if a > slack[slot1]:
+                    if a > slack[slot0]:
+                        return False
+                    self._assign(v, 0, queue)
+                elif a > slack[slot0]:
+                    self._assign(v, 1, queue)
         return True
 
     def assign_and_propagate(self, v: int, b: int) -> bool:
-        self._assign(v, b)
-        return self.propagate([k for k, _ in self.var_cons[v]])
+        queue: List[int] = []
+        self._assign(v, b, queue)
+        return self.propagate(queue)
 
     def solve(self, max_nodes: int) -> Tuple[Optional[List[int]], int]:
         """First solution in lexicographic cell order (0 before 1), or None.
@@ -191,7 +190,7 @@ class _Csp:
         sound propagation the first solution found is the lex-least one.
         Raises BudgetExceededError when the decision count passes max_nodes.
         """
-        if not self.propagate(list(range(len(self.terms)))):
+        if not self.propagate(list(range(len(self.rows)))):
             return None, 0
         value = self.value
         nodes = v = 0

@@ -1,5 +1,6 @@
 """Z² multi-tiling decision: torus search, box refutation, dovetailing."""
 
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from abeltile import (
     periodic_search,
     verify_multitile,
 )
+
+from abeltile.multitile import _Csp
 
 from _oracles import box_brute, torus_brute
 
@@ -62,6 +65,42 @@ def test_budget_validation():
         SearchBudget(max_box_radius=0)
     with pytest.raises(InputError):
         SearchBudget(max_nodes=0)
+
+
+# ------------------------------------------------------------ the engine
+
+
+def _signed_system(rng):
+    """1-9 cells, 1-8 constraints with coefficients in ±{1, 2, 3} and targets
+    in -3..4; half of the systems are planted on a hidden 0/1 assignment."""
+    n = rng.randint(1, 9)
+    hidden = [rng.randint(0, 1) for _ in range(n)] if rng.random() < 0.5 else None
+    m, constraints = rng.randint(1, 8), []
+    while len(constraints) < m:
+        terms = [(rng.randrange(n), rng.choice((-3, -2, -1, 1, 2, 3)))
+                 for _ in range(rng.randint(1, 4))]
+        t = sum(c * hidden[v] for v, c in terms) if hidden else rng.randint(-3, 4)
+        if -3 <= t <= 4:
+            constraints.append((terms, t))
+    return n, constraints
+
+
+def test_engine_finds_the_lex_least_solution_of_signed_systems():
+    # negative coefficients swap which slack each value of a cell uses up;
+    # polyomino constraints (all coefficients 1) never take that branch
+    rng = random.Random("signed-csp")
+    solved = 0
+    for _ in range(1500):
+        n, constraints = _signed_system(rng)
+        want = next(
+            (list(bits) for bits in itertools.product((0, 1), repeat=n)
+             if all(sum(c * bits[v] for v, c in terms) == t for terms, t in constraints)),
+            None,
+        )
+        got, _ = _Csp(n, constraints).solve(10 ** 6)
+        assert got == want, constraints
+        solved += want is not None
+    assert 500 <= solved <= 1000  # both outcomes are well represented
 
 
 # ----------------------------------------------------------- torus search
