@@ -21,6 +21,7 @@ To regenerate both fixtures (only when a contract is meant to change)::
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -101,32 +102,13 @@ def _inputs():
         yield name, problem, []
 
 
-_SYMMETRIES = (
-    lambda x, y: (x, y), lambda x, y: (-y, x), lambda x, y: (-x, -y),
-    lambda x, y: (y, -x), lambda x, y: (-x, y), lambda x, y: (y, x),
-    lambda x, y: (x, -y), lambda x, y: (-y, -x),
-)
-
-
-def _at_origin(cells):
-    mx = min(x for x, _ in cells)
-    my = min(y for _, y in cells)
-    return tuple(sorted((x - mx, y - my) for x, y in cells))
-
-
 def _free_polyominoes(size):
-    """The least of the eight images, min corner at the origin, of each free
-    polyomino with ``size`` cells, in sorted order."""
-    def canon(cells):
-        return min(_at_origin([t(x, y) for x, y in cells]) for t in _SYMMETRIES)
-
-    shapes = {((0, 0),)}
-    for _ in range(size - 1):
-        shapes = {canon(shape + (cell,))
-                  for shape in shapes for x, y in shape
-                  for cell in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
-                  if cell not in shape}
-    return sorted(shapes)
+    """The benchmark's census of free polyominoes with ``size`` cells."""
+    path = HERE.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.free_polyominoes(size)
 
 
 def _plane(terms, g):
