@@ -170,16 +170,54 @@ def test_decide_multitile_payloads_match_golden(tmp_path):
     assert not differ, f"{len(differ)} entries differ: {differ}"
 
 
+def _changes(old_entries, new_entries):
+    """How many entries differ between two versions of a fixture, and the
+    sorted names of what differs: payload keys, other entry keys, or
+    ``(added)`` / ``(removed)`` for an id only one version has."""
+    old = {e["id"]: e for e in old_entries}
+    new = {e["id"]: e for e in new_entries}
+    changed, what = 0, set()
+    for name in old.keys() | new.keys():
+        before, after = old.get(name), new.get(name)
+        if before == after:
+            continue
+        changed += 1
+        if before is None or after is None:
+            what.add("(added)" if before is None else "(removed)")
+            continue
+        what.update(k for k in before.keys() | after.keys()
+                    if k != "payload" and before.get(k) != after.get(k))
+        b, a = before["payload"], after["payload"]
+        what.update(k for k in b.keys() | a.keys() if b.get(k) != a.get(k))
+    return changed, sorted(what)
+
+
+def test_fixture_changes_name_entries_and_keys():
+    def entry(name, code=2, **payload):
+        return {"id": name, "exit": code, "payload": {"answer": "UNKNOWN", **payload}}
+
+    old = [entry("a", nodes_used=5), entry("b", nodes_used=7), entry("c"), entry("gone")]
+    assert _changes(old, old) == (0, [])
+    new = [entry("a", nodes_used=4), entry("b", nodes_used=7), entry("c", 0, answer="YES"),
+           entry("extra")]
+    assert _changes(old, new) == (4, ["(added)", "(removed)", "answer", "exit", "nodes_used"])
+
+
 def _write_fixture(command, fixture, inputs, scratch):
-    lines = []
+    """Write the fixture and report how many entries changed, and in what."""
+    entries = []
     for name, problem, flags in inputs:
         code, payload = _decide(command, problem, flags, scratch / "problem.json")
         entry = {"id": name, "problem": problem, "exit": code, "payload": payload}
         if flags:
             entry["flags"] = flags
-        lines.append(json.dumps(entry, sort_keys=True, separators=(",", ":")))
+        entries.append(entry)
+    old = json.loads(fixture.read_text()) if fixture.exists() else []
+    changed, what = _changes(old, entries)
+    lines = [json.dumps(e, sort_keys=True, separators=(",", ":")) for e in entries]
     fixture.write_text("[\n" + ",\n".join(lines) + "\n]\n")
-    return len(lines)
+    scope = f"{changed} changed ({', '.join(what)})" if changed else "none changed"
+    return f"wrote {len(lines)} entries to {fixture.name}: {scope}"
 
 
 if __name__ == "__main__":
@@ -192,5 +230,4 @@ if __name__ == "__main__":
             ("decide-zero", FIXTURE, _inputs()),
             ("decide-multitile", MULTITILE_FIXTURE, _multitile_inputs()),
         ):
-            count = _write_fixture(command, fixture, inputs, Path(tmp))
-            print(f"wrote {count} entries to {fixture}")
+            print(_write_fixture(command, fixture, inputs, Path(tmp)))
