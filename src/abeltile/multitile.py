@@ -231,7 +231,6 @@ def _search(f: FinMap, g: PeriodicMap, cells, index, nvars: int, max_nodes: int)
     """(lex-least a ∈ {0,1}^nvars or None, nodes) for the constraints
     sum(c·a[index(x − y)] for c·δ_y in f) = g(x), one per x in cells: the torus
     and the box differ only in their cells and in how index maps Z² to a cell."""
-    _want_int(max_nodes, "max_nodes", 1)
     supp = [(y, f.coeff(y)) for y in f.support()]
     constraints = [
         ([(index(x[0] - y[0], x[1] - y[1]), c) for y, c in supp], g.value(x))
@@ -245,6 +244,17 @@ def _torus(f: FinMap, g: PeriodicMap, q: int, max_nodes: int):
     _want_int(q, "torus side", 1)
     if q % g.period != 0:
         raise InputError(f"torus side {q} is not a multiple of g's period {g.period}")
+    _want_int(max_nodes, "max_nodes", 1)
+    # summing the constraints over the torus gives sum(f)·|A mod q| = sum of g
+    # over [q]², so a side where no count 0..q² fits has no solution
+    total = sum(f.entries.values())
+    mass = (q // g.period) ** 2 * sum(g.values)
+    if total == 0:
+        fits = mass == 0
+    else:
+        fits = mass % total == 0 and 0 <= mass // total <= q * q
+    if not fits:
+        return None, 0
     cells = product(range(q), repeat=2)  # indexed by the quotient map Z² → Z²/qZ²
     solution, nodes = _search(f, g, cells, lambda p0, p1: p0 % q * q + p1 % q, q * q, max_nodes)
     return (None if solution is None else TorusAssignment(q, tuple(solution))), nodes
@@ -262,6 +272,7 @@ def periodic_search(
 def _box(f: FinMap, g: PeriodicMap, n: int, max_nodes: int):
     _require_z2(f, g)
     _want_int(n, "box radius", 0)
+    _want_int(max_nodes, "max_nodes", 1)
     r = n + max((max(abs(y[0]), abs(y[1])) for y in f.support()), default=0)
     side = 2 * r + 1
     cells = product(range(-n, n + 1), repeat=2)  # indexed by the offset into the window

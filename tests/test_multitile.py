@@ -109,6 +109,9 @@ def test_engine_finds_the_lex_least_solution_of_signed_systems():
 def test_periodic_search_examples():
     assert periodic_search(FinMap.delta(Z2, (0, 0)), ONES, 1) == TorusAssignment(1, (1,))
     assert periodic_search(DOMINO, ONES, 1) is None  # 2·b = 1 has no 0/1 root
+    square = FinMap.indicator(Z2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    # one cell of the 2×2 torus: sum(f)·|A| = 4·1 is the sum of g over 4 cells
+    assert periodic_search(square, ONES, 2) == TorusAssignment(2, (0, 0, 0, 1))
     sol = periodic_search(DOMINO, ONES, 2)
     assert sol == TorusAssignment(2, (0, 0, 1, 1))
     assert verify_multitile(DOMINO, ONES, sol)
@@ -142,6 +145,56 @@ def test_periodic_search_matches_brute_force():
             assert got is None
         else:
             assert got is not None and got.bits == want
+
+
+def test_mass_count_skips_only_sides_without_solutions():
+    # summed over the torus, f*1_A = g reads sum(f)·|A mod q| = sum of g over
+    # [q]²; a side where no count 0..q² fits is skipped without a search, so it
+    # must have no solution and must not spend a node, and a side where one
+    # fits must still find the lex-least solution
+    rng = random.Random("mass-count")
+    fits_seen, skipped_sums = set(), set()
+    for k in range(120):
+        supp = {}
+        for _ in range(rng.randint(1, 4)):
+            supp[(rng.randint(0, 2), rng.randint(0, 2))] = rng.choice([-2, -1, 1, 2])
+        f = FinMap(Z2, supp)
+        if rng.random() < 0.5:
+            g = PeriodicMap.constant(Z2, rng.randint(-1, 3))
+        else:
+            g = PeriodicMap(Z2, 2, [rng.randint(-1, 2) for _ in range(4)])
+        # a side of 4 costs the brute force 2^16 patterns, so draw it rarely
+        q = 4 if k % 40 == 0 else rng.choice([q for q in (1, 2, 3) if q % g.period == 0])
+        total = sum(f.entries.values())
+        mass = sum(g.value((x0, x1)) for x0 in range(q) for x1 in range(q))
+        fits = any(total * n == mass for n in range(q * q + 1))
+        fits_seen.add((q, fits))
+        want = torus_brute(f.entries, g.value, q)
+        if fits:
+            got = periodic_search(f, g, q)
+            assert (got and got.bits) == want
+        else:
+            skipped_sums.add((total > 0) - (total < 0))
+            assert want is None
+            assert periodic_search(f, g, q, max_nodes=1) is None
+    assert {fits for _, fits in fits_seen} == {True, False}
+    assert (4, False) in fits_seen
+    assert skipped_sums == {-1, 0, 1}  # signed f and sum(f) = 0 are both skipped
+
+
+def test_skipped_sides_still_validate_their_arguments():
+    # the count rules out q = 1 for the domino (2·|A| = 1), and still the
+    # arguments are checked before it
+    assert periodic_search(DOMINO, ONES, 1) is None
+    for bad in (0, True):
+        with pytest.raises(InputError):
+            periodic_search(DOMINO, ONES, 1, max_nodes=bad)
+    with pytest.raises(InputError):
+        periodic_search(DOMINO, PeriodicMap.constant(Z2, 1, period=2), 3)
+    with pytest.raises(InputError):
+        periodic_search(DOMINO, ONES, 0, max_nodes=0)
+    with pytest.raises(InputError):
+        periodic_search(FinMap.delta(Z, (0,)), ONES, 1)
 
 
 def test_periodic_search_budget_error():
@@ -274,7 +327,9 @@ def test_decide_staircase_same_at_both_placements(h):
     v = decide_multitile(STAIRCASE.shift(h), ONES)
     assert v.answer == "NO"
     assert v.refutation_box_radius == 2
-    assert v.nodes_used == 46
+    # 41 = 5 + 13 + 23 box nodes: the mass count 6·|A mod q| = q² rules out
+    # torus sides 1, 2 and 3, so the q = 3 search and its 5 nodes are skipped
+    assert v.nodes_used == 41
     assert box_refute(STAIRCASE.shift(h), ONES, 2)
 
 
