@@ -5,7 +5,10 @@ over multiples of g's period); the other side searches for a finite window
 around the origin on which no partial 0/1 assignment can satisfy the
 convolution constraints (such a window rules out *every* A, periodic or not).
 Whichever side lands first decides the instance; if both ladders run out the
-verdict is UNKNOWN — an honest budget statement, never a NO.
+verdict is UNKNOWN — an honest budget statement, never a NO.  Before a torus
+search runs, a mass count rules out sides with no solution: summed over the
+torus, f*1_A = g reads sum(f)·|A mod q| = sum of g over [q]², and a side where
+no count 0..q² fits returns None without a search and costs no nodes.
 
 Both sides build their constraints in one function, one equality per cell, and
 share one iterative backtracking engine with bounds propagation: each
@@ -265,7 +268,9 @@ def periodic_search(
 ) -> Optional[TorusAssignment]:
     """Lex-least qZ²-periodic solution of f*1_A = g, or None if the torus
     admits none.  Exact: encodes one equality constraint per torus cell and
-    exhausts the assignment tree (budget overruns raise, they never return)."""
+    exhausts the assignment tree (budget overruns raise, they never return).
+    A side where sum(f)·|A mod q| = sum of g over [q]² has no count 0..q²
+    returns None without a search, so it costs no nodes."""
     return _torus(f, g, q, max_nodes)[0]
 
 

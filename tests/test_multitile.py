@@ -127,6 +127,11 @@ def test_periodic_search_input_errors():
         periodic_search(DOMINO, g2, 3)  # 3 not a multiple of period 2
     with pytest.raises(InputError):
         periodic_search(FinMap.delta(Z, (0,)), ONES, 1)
+    # the mass count rules out q = 1 for the domino (2·|A| = 1) without a
+    # search, and max_nodes is still checked
+    for bad in (0, True):
+        with pytest.raises(InputError):
+            periodic_search(DOMINO, ONES, 1, max_nodes=bad)
 
 
 def test_periodic_search_matches_brute_force():
@@ -180,21 +185,6 @@ def test_mass_count_skips_only_sides_without_solutions():
     assert {fits for _, fits in fits_seen} == {True, False}
     assert (4, False) in fits_seen
     assert skipped_sums == {-1, 0, 1}  # signed f and sum(f) = 0 are both skipped
-
-
-def test_skipped_sides_still_validate_their_arguments():
-    # the count rules out q = 1 for the domino (2·|A| = 1), and still the
-    # arguments are checked before it
-    assert periodic_search(DOMINO, ONES, 1) is None
-    for bad in (0, True):
-        with pytest.raises(InputError):
-            periodic_search(DOMINO, ONES, 1, max_nodes=bad)
-    with pytest.raises(InputError):
-        periodic_search(DOMINO, PeriodicMap.constant(Z2, 1, period=2), 3)
-    with pytest.raises(InputError):
-        periodic_search(DOMINO, ONES, 0, max_nodes=0)
-    with pytest.raises(InputError):
-        periodic_search(FinMap.delta(Z, (0,)), ONES, 1)
 
 
 def test_periodic_search_budget_error():
