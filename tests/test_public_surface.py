@@ -1,10 +1,22 @@
 """The package's public names: each library module's ``__all__``, re-exported
-by ``abeltile`` with nothing added but ``__version__``."""
+by ``abeltile`` with nothing added but ``__version__``; and the value
+semantics of its record classes."""
 
+import copy
 import importlib
+import pickle
 import pkgutil
 
+import pytest
+
 import abeltile
+from abeltile import (
+    HALF, ZERO, AnnihilatorVerdict, BlockTrace, CharacterVector, CycElement,
+    DilationReport, FinMap, GroupSpec, IntMatrix, MinimalTuple, MultitileVerdict,
+    PeriodicMap, QzSolutionSet, SearchBudget, SliceReport, SnfDecomposition,
+    TorusAssignment, Window2D, quotient_by, smith_normal_form,
+)
+from abeltile.cli import ProblemFile
 
 # the command-line front end is reached as abeltile.cli, not re-exported
 LIBRARY_MODULES = sorted(
@@ -45,3 +57,98 @@ def test_earlier_public_names_still_import():
     exec("from abeltile import *", namespace)
     assert set(EARLIER_NAMES) <= set(namespace)
     assert {"qz_solution_set", "GroupElement"} <= set(namespace)
+
+
+# ------------------------------------------------------------ value records
+
+Z1, Z2 = GroupSpec(1), GroupSpec(2)
+
+# One sample per record class: a factory (called twice, so that equality is
+# by value, not identity), the field names in order, and the repr.
+RECORDS = [
+    (lambda: GroupSpec(1, (2,)), ("free_rank", "torsion"),
+     "GroupSpec(free_rank=1, torsion=(2,))"),
+    (lambda: CharacterVector(Z1, (HALF,)), ("group", "etas"),
+     "CharacterVector(group=GroupSpec(free_rank=1, torsion=()), etas=(RationalMod1(1, 2),))"),
+    (lambda: BlockTrace((0, 1), (ZERO, HALF), ZERO), ("term_indices", "omega", "xi0"),
+     "BlockTrace(term_indices=(0, 1), omega=(RationalMod1(0, 1), RationalMod1(1, 2)),"
+     " xi0=RationalMod1(0, 1))"),
+    (lambda: AnnihilatorVerdict("NO"),
+     ("answer", "witness_character", "witness_map", "partition_trace"),
+     "AnnihilatorVerdict(answer='NO', witness_character=None, witness_map=None,"
+     " partition_trace=None)"),
+    (lambda: CycElement(3, (1, 0)), ("level", "coeffs"), "CycElement(level=3, coeffs=(1, 0))"),
+    (lambda: MinimalTuple(2, (ZERO, HALF)), ("k", "entries"),
+     "MinimalTuple(k=2, entries=(RationalMod1(0, 1), RationalMod1(1, 2)))"),
+    (lambda: quotient_by(Z2, (1, 0)),
+     ("source", "group", "_transform", "_free_idx", "_torsion_idx", "_moduli"),
+     "Quotient(source=GroupSpec(free_rank=2, torsion=()), group=GroupSpec(free_rank=1,"
+     " torsion=()), _transform=((1, 0), (0, 1)), _free_idx=(1,), _torsion_idx=(),"
+     " _moduli=(1, 0))"),
+    (lambda: smith_normal_form(IntMatrix([[2]])), ("U", "D", "V"),
+     "SnfDecomposition(U=IntMatrix([[1]]), D=IntMatrix([[2]]), V=IntMatrix([[1]]))"),
+    (lambda: QzSolutionSet((ZERO,), ((1,),), (2,)),
+     ("particular", "shift_vectors", "shift_moduli"),
+     "QzSolutionSet(particular=(RationalMod1(0, 1),), shift_vectors=((1,),),"
+     " shift_moduli=(2,))"),
+    (lambda: TorusAssignment(1, (1,)), ("q", "bits"), "TorusAssignment(q=1, bits=(1,))"),
+    (lambda: SearchBudget(), ("max_q", "max_box_radius", "max_nodes"),
+     "SearchBudget(max_q=12, max_box_radius=6, max_nodes=200000)"),
+    (lambda: MultitileVerdict("NO", refutation_box_radius=1),
+     ("answer", "certificate", "refutation_box_radius", "budget_note", "nodes_used"),
+     "MultitileVerdict(answer='NO', certificate=None, refutation_box_radius=1,"
+     " budget_note=None, nodes_used=0)"),
+    (lambda: DilationReport(2, ((3, True),)), ("q", "results"),
+     "DilationReport(q=2, results=((3, True),))"),
+    (lambda: SliceReport(0, (0, 0), PeriodicMap(Z2, 1, (1,)), ((0, 0),)),
+     ("coset_key", "base_point", "convolution", "period_vectors"),
+     "SliceReport(coset_key=0, base_point=(0, 0), convolution=PeriodicMap(period=1,"
+     " values=(1,)), period_vectors=((0, 0),))"),
+    (lambda: Window2D((0, 0), (0, 1), ((1, 2),)), ("x_range", "y_range", "values"),
+     "Window2D(x_range=(0, 0), y_range=(0, 1), values=((1, 2),))"),
+    (lambda: ProblemFile(Z1, FinMap(Z1, [((0,), 1)])),
+     ("group", "f", "g", "a", "cert", "budget", "dilation"),
+     "ProblemFile(group=GroupSpec(free_rank=1, torsion=()), f=FinMap({(0,): 1}), g=None,"
+     " a=None, cert=None, budget=SearchBudget(max_q=12, max_box_radius=6,"
+     " max_nodes=200000), dilation=None)"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, fields, text", [pytest.param(*r, id=r[2].split("(")[0]) for r in RECORDS]
+)
+def test_record_value_semantics(make, fields, text):
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert repr(a) == text
+    assert type(a)(**{name: getattr(a, name) for name in fields}) == a
+    values = tuple(getattr(a, name) for name in fields)
+    assert a != values
+    assert copy.copy(a) == pickle.loads(pickle.dumps(a)) == a
+    assert all(a != other() for other, _, _ in RECORDS if other is not make)
+    try:
+        hash(values)
+    except TypeError:  # a FinMap or PeriodicMap field makes the record unhashable
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b and repr(a) == text
+
+
+def test_record_defaults():
+    assert GroupSpec(1) == GroupSpec(1, ())
+    assert SearchBudget() == SearchBudget(12, 6, 200_000)
+    assert SearchBudget(max_nodes=5) == SearchBudget(12, 6, 5) != SearchBudget()
+    assert MultitileVerdict("NO") == MultitileVerdict("NO", None, None, None, 0)
+    assert MultitileVerdict("NO").nodes_used == 0
+    assert AnnihilatorVerdict("NO") == AnnihilatorVerdict("NO", None, None, None)
+    p = ProblemFile(Z1, FinMap(Z1))
+    assert (p.g, p.a, p.cert, p.budget, p.dilation) == (None, None, None, SearchBudget(), None)
