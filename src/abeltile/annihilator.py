@@ -36,7 +36,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .cyclotomic import (
@@ -46,7 +45,7 @@ from .cyclotomic import (
     retraction_coeff0,
     sum_roots_is_zero,
 )
-from .errors import CapacityError, InputError, _want_int
+from .errors import CapacityError, InputError, _Record, _want_int
 from .groups import FinMap, GroupSpec, PeriodicMap, convolve_periodic, l1_norm, unit_expansion
 from .qzlinear import ZERO, IntMatrix, RationalMod1, qz_solution_set
 
@@ -61,24 +60,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CharacterVector:
+class CharacterVector(_Record):
     """Finite-order character ``x -> e(sum_m eta_m x_m)`` of a group.
 
     Torsion coordinates must satisfy ``N_m * eta_m = 0`` in Q/Z, otherwise the
     evaluation would not be well defined on canonical representatives.
     """
 
-    group: GroupSpec
-    etas: tuple
+    __slots__ = ("group", "etas")
 
-    def __post_init__(self):
-        if len(self.etas) != self.group.rank:
+    def __init__(self, group: GroupSpec, etas: tuple) -> None:
+        if len(etas) != group.rank:
             raise InputError("character needs one phase per group coordinate")
-        for m, n in enumerate(self.group.torsion):
-            eta = self.etas[self.group.free_rank + m]
+        for m, n in enumerate(group.torsion):
+            eta = etas[group.free_rank + m]
             if not (n * eta).is_zero:
                 raise InputError(f"torsion constraint violated: {n} * {eta} != 0")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "etas", etas)
 
     @property
     def order(self) -> int:
@@ -97,19 +96,29 @@ class CharacterVector:
         return [eps - self.phase(x) for x, eps in unit_expansion(f)]
 
 
-@dataclass(frozen=True)
-class BlockTrace:
-    term_indices: tuple
-    omega: tuple
-    xi0: RationalMod1
+class BlockTrace(_Record):
+    __slots__ = ("term_indices", "omega", "xi0")
+
+    def __init__(self, term_indices: tuple, omega: tuple, xi0: RationalMod1) -> None:
+        object.__setattr__(self, "term_indices", term_indices)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "xi0", xi0)
 
 
-@dataclass(frozen=True)
-class AnnihilatorVerdict:
-    answer: str  # "YES" | "NO"
-    witness_character: Optional[CharacterVector] = None
-    witness_map: Optional[PeriodicMap] = None
-    partition_trace: Optional[tuple] = None
+class AnnihilatorVerdict(_Record):
+    __slots__ = ("answer", "witness_character", "witness_map", "partition_trace")
+
+    def __init__(
+        self,
+        answer: str,  # "YES" | "NO"
+        witness_character: Optional[CharacterVector] = None,
+        witness_map: Optional[PeriodicMap] = None,
+        partition_trace: Optional[tuple] = None,
+    ) -> None:
+        object.__setattr__(self, "answer", answer)
+        object.__setattr__(self, "witness_character", witness_character)
+        object.__setattr__(self, "witness_map", witness_map)
+        object.__setattr__(self, "partition_trace", partition_trace)
 
     @property
     def is_yes(self) -> bool:

@@ -31,12 +31,10 @@ of rows; torsion coordinates may exceed their modulus and are canonicalized.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
 import time
-import traceback
 from typing import List, Optional, Sequence, Tuple
 
 from .annihilator import (
@@ -45,7 +43,7 @@ from .annihilator import (
     verify_annihilator,
 )
 from .cyclotomic import enumerate_minimal_tuples
-from .errors import BudgetExceededError, CapacityError, InputError, _want_int
+from .errors import BudgetExceededError, CapacityError, InputError, _Record, _want_int
 from .groups import FinMap, GroupSpec, PeriodicMap, convolve_periodic
 from .multitile import SearchBudget, TorusAssignment, decide_multitile, verify_multitile
 from .structure import coset_slice, dilation_check
@@ -53,15 +51,26 @@ from .structure import coset_slice, dilation_check
 __all__ = ["ProblemFile", "parse_problem", "run", "main"]
 
 
-@dataclasses.dataclass(frozen=True)
-class ProblemFile:
-    group: GroupSpec
-    f: FinMap
-    g: Optional[PeriodicMap] = None
-    a: Optional[PeriodicMap] = None
-    cert: Optional[TorusAssignment] = None
-    budget: SearchBudget = SearchBudget()
-    dilation: Optional[Tuple[int, Tuple[int, ...]]] = None
+class ProblemFile(_Record):
+    __slots__ = ("group", "f", "g", "a", "cert", "budget", "dilation")
+
+    def __init__(
+        self,
+        group: GroupSpec,
+        f: FinMap,
+        g: Optional[PeriodicMap] = None,
+        a: Optional[PeriodicMap] = None,
+        cert: Optional[TorusAssignment] = None,
+        budget: SearchBudget = SearchBudget(),
+        dilation: Optional[Tuple[int, Tuple[int, ...]]] = None,
+    ) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "cert", cert)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "dilation", dilation)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +259,11 @@ def _cmd_decide_annihilator(ns, problem: ProblemFile) -> Tuple[dict, int]:
 def _cmd_decide_multitile(ns, problem: ProblemFile) -> Tuple[dict, int]:
     if problem.g is None:
         raise InputError("decide-multitile needs a 'g' section")
-    flags = {"max_q": ns.max_q, "max_box_radius": ns.max_box, "max_nodes": ns.budget_nodes}
-    budget = dataclasses.replace(
-        problem.budget, **{name: v for name, v in flags.items() if v is not None}
+    file = problem.budget
+    budget = SearchBudget(
+        file.max_q if ns.max_q is None else ns.max_q,
+        file.max_box_radius if ns.max_box is None else ns.max_box,
+        file.max_nodes if ns.budget_nodes is None else ns.budget_nodes,
     )
     verdict = decide_multitile(problem.f, problem.g, budget)
     payload = {"answer": verdict.answer, "nodes_used": verdict.nodes_used}
@@ -415,6 +426,8 @@ def run(argv: Sequence[str]) -> int:
     except BudgetExceededError as e:
         payload, code = {"answer": "UNKNOWN", "error": str(e)}, 2
     except Exception as e:  # a crash must not exit 1, which reads as NO
+        import traceback
+
         traceback.print_exc()
         error = f"internal error: {type(e).__name__}: {e}"
         payload, code = {"answer": "ERROR", "error": error}, 5

@@ -18,11 +18,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import CapacityError, InputError, _want_int
+from .errors import CapacityError, InputError, _Record, _want_int
 from .qzlinear import ZERO, RationalMod1
 
 __all__ = [
@@ -152,8 +151,7 @@ def _coeff0_column(L: int) -> tuple:
     return tuple(col)
 
 
-@dataclass(frozen=True)
-class CycElement:
+class CycElement(_Record):
     """An element of Z[zeta_L] in the power basis modulo Phi_L.
 
     >>> (CycElement.root_power(3, 0) + CycElement.root_power(3, 1)
@@ -161,13 +159,14 @@ class CycElement:
     True
     """
 
-    level: int
-    coeffs: tuple
+    __slots__ = ("level", "coeffs")
 
-    def __post_init__(self):
-        deg = len(cyclotomic_poly(self.level)) - 1
-        if len(self.coeffs) != deg:
-            raise InputError(f"coefficient vector must have length phi({self.level}) = {deg}")
+    def __init__(self, level: int, coeffs: tuple) -> None:
+        deg = len(cyclotomic_poly(level)) - 1
+        if len(coeffs) != deg:
+            raise InputError(f"coefficient vector must have length phi({level}) = {deg}")
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def zero(cls, L: int) -> "CycElement":
@@ -278,19 +277,19 @@ def mann_bound(k: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class MinimalTuple:
+class MinimalTuple(_Record):
     """Rotation-canonical minimal vanishing tuple: first entry 0, the unit
     vectors sum to zero, no proper subset vanishes, orders divide mann_bound(k)."""
 
-    k: int
-    entries: tuple
+    __slots__ = ("k", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.k:
+    def __init__(self, k: int, entries: tuple) -> None:
+        if len(entries) != k:
             raise InputError("length mismatch")
-        if not self.entries or not self.entries[0].is_zero:
+        if not entries or not entries[0].is_zero:
             raise InputError("canonical tuples start with 0")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "entries", entries)
 
     def sort_key(self):
         return tuple(e.as_fraction() for e in self.entries)

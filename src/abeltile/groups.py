@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .errors import InputError, _want_int
+from .errors import InputError, _Record, _want_int
 from .qzlinear import HALF, ZERO, IntMatrix, RationalMod1, smith_normal_form
 
 __all__ = [
@@ -39,18 +38,18 @@ __all__ = [
 GroupElement = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(_Record):
     """Shape of ``Z^free_rank x prod Z/N`` with torsion moduli ``N >= 1``."""
 
-    free_rank: int
-    torsion: tuple = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        _want_int(self.free_rank, "free_rank", 0)
-        object.__setattr__(self, "torsion", tuple(self.torsion))
-        for n in self.torsion:
+    def __init__(self, free_rank: int, torsion: tuple = ()) -> None:
+        _want_int(free_rank, "free_rank", 0)
+        torsion = tuple(torsion)
+        for n in torsion:
             _want_int(n, "torsion modulus", 1)
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @property
     def rank(self) -> int:
@@ -340,8 +339,7 @@ def difference(f, h: Sequence[int]):
     raise InputError("difference wants a FinMap or a PeriodicMap")
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(_Record):
     """Presentation of ``G / <w>`` with an explicit projection.
 
     ``project`` sends a coordinate tuple of the source group to canonical
@@ -350,12 +348,23 @@ class Quotient:
     the Smith normal form of the relation matrix so it is reproducible.
     """
 
-    source: GroupSpec
-    group: GroupSpec
-    _transform: tuple  # rows of U (unimodular)
-    _free_idx: tuple
-    _torsion_idx: tuple
-    _moduli: tuple
+    __slots__ = ("source", "group", "_transform", "_free_idx", "_torsion_idx", "_moduli")
+
+    def __init__(
+        self,
+        source: GroupSpec,
+        group: GroupSpec,
+        _transform: tuple,  # rows of U (unimodular)
+        _free_idx: tuple,
+        _torsion_idx: tuple,
+        _moduli: tuple,
+    ) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "_transform", _transform)
+        object.__setattr__(self, "_free_idx", _free_idx)
+        object.__setattr__(self, "_torsion_idx", _torsion_idx)
+        object.__setattr__(self, "_moduli", _moduli)
 
     def project(self, coords: Sequence[int]) -> GroupElement:
         x = self.source.canonicalize(tuple(coords))

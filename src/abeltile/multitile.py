@@ -21,11 +21,10 @@ no constraint reads start at 0 and never cost a branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product, zip_longest
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceededError, InputError, _want_int
+from .errors import BudgetExceededError, InputError, _Record, _want_int
 from .groups import FinMap, GroupSpec, PeriodicMap, convolve_periodic
 
 __all__ = [
@@ -41,21 +40,20 @@ __all__ = [
 Z2 = GroupSpec(2)
 
 
-@dataclass(frozen=True)
-class TorusAssignment:
+class TorusAssignment(_Record):
     """0/1 pattern on [q]², read row-major: bits[x*q + y] covers cell (x, y)."""
 
-    q: int
-    bits: Tuple[int, ...]
+    __slots__ = ("q", "bits")
 
-    def __post_init__(self):
-        _want_int(self.q, "torus side", 1)
-        bits = tuple(self.bits)
-        if len(bits) != self.q * self.q:
-            raise InputError(f"expected {self.q * self.q} bits, got {len(bits)}")
+    def __init__(self, q: int, bits: Tuple[int, ...]) -> None:
+        _want_int(q, "torus side", 1)
+        bits = tuple(bits)
+        if len(bits) != q * q:
+            raise InputError(f"expected {q * q} bits, got {len(bits)}")
         for b in bits:
             if b not in (0, 1) or isinstance(b, bool):
                 raise InputError("bits must be 0 or 1")
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "bits", bits)
 
     def bit(self, x: int, y: int) -> int:
@@ -71,24 +69,32 @@ class TorusAssignment:
         return "\n".join(rows)
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_q: int = 12
-    max_box_radius: int = 6
-    max_nodes: int = 200_000
+class SearchBudget(_Record):
+    __slots__ = ("max_q", "max_box_radius", "max_nodes")
 
-    def __post_init__(self):
-        for name in ("max_q", "max_box_radius", "max_nodes"):
-            _want_int(getattr(self, name), name, 1)
+    def __init__(
+        self, max_q: int = 12, max_box_radius: int = 6, max_nodes: int = 200_000
+    ) -> None:
+        for name, value in zip(self.__slots__, (max_q, max_box_radius, max_nodes)):
+            object.__setattr__(self, name, _want_int(value, name, 1))
 
 
-@dataclass(frozen=True)
-class MultitileVerdict:
-    answer: str  # "YES" | "NO" | "UNKNOWN"
-    certificate: Optional[TorusAssignment] = None
-    refutation_box_radius: Optional[int] = None
-    budget_note: Optional[str] = None
-    nodes_used: int = 0
+class MultitileVerdict(_Record):
+    __slots__ = ("answer", "certificate", "refutation_box_radius", "budget_note", "nodes_used")
+
+    def __init__(
+        self,
+        answer: str,  # "YES" | "NO" | "UNKNOWN"
+        certificate: Optional[TorusAssignment] = None,
+        refutation_box_radius: Optional[int] = None,
+        budget_note: Optional[str] = None,
+        nodes_used: int = 0,
+    ) -> None:
+        object.__setattr__(self, "answer", answer)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "refutation_box_radius", refutation_box_radius)
+        object.__setattr__(self, "budget_note", budget_note)
+        object.__setattr__(self, "nodes_used", nodes_used)
 
     @property
     def is_yes(self) -> bool:

@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, _Record
 
 __all__ = [
     "RationalMod1",
@@ -73,6 +71,8 @@ class RationalMod1:
 
     def as_fraction(self) -> Fraction:
         """The canonical representative in [0, 1)."""
+        from fractions import Fraction
+
         return Fraction(self.numerator, self.denominator)
 
     @property
@@ -257,13 +257,15 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(_Record):
     """U @ A @ V = D with U, V unimodular and D diagonal, d_i | d_{i+1}, d_i >= 0."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__ = ("U", "D", "V")
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix) -> None:
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "V", V)
 
     @property
     def diagonal(self) -> tuple:
@@ -405,8 +407,7 @@ def verify_qz(A: IntMatrix, x: Sequence[RationalMod1], b: Sequence[RationalMod1]
     return all(lhs == rhs for lhs, rhs in zip(A.apply(list(x)), b))
 
 
-@dataclass(frozen=True)
-class QzSolutionSet:
+class QzSolutionSet(_Record):
     """The full solution set of ``A @ x = b`` over Q/Z, finitely presented.
 
     Solutions are ``particular + sum_i (t_i / d_i) * v_i`` for ``t_i`` in
@@ -416,9 +417,12 @@ class QzSolutionSet:
     pinned to zero rather than enumerated.
     """
 
-    particular: tuple
-    shift_vectors: tuple          # integer vectors, columns of V
-    shift_moduli: tuple           # matching diagonal entries, each >= 2
+    __slots__ = ("particular", "shift_vectors", "shift_moduli")
+
+    def __init__(self, particular: tuple, shift_vectors: tuple, shift_moduli: tuple) -> None:
+        object.__setattr__(self, "particular", particular)
+        object.__setattr__(self, "shift_vectors", shift_vectors)
+        object.__setattr__(self, "shift_moduli", shift_moduli)
 
     @property
     def count(self) -> int:

@@ -12,11 +12,9 @@ finite mean over an orbit segment and says so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Sequence, Tuple
 
-from .errors import InputError, _want_int
+from .errors import InputError, _Record, _want_int
 from .groups import (
     FinMap,
     GroupSpec,
@@ -104,10 +102,12 @@ def complement(w: Sequence[int]) -> Tuple[int, int]:
     return (c0 + shift * a, c1 + shift * b)
 
 
-@dataclass(frozen=True)
-class DilationReport:
-    q: int
-    results: Tuple[Tuple[int, bool], ...]  # (r, exact equality held)
+class DilationReport(_Record):
+    __slots__ = ("q", "results")  # results: (r, exact equality held) pairs
+
+    def __init__(self, q: int, results: Tuple[Tuple[int, bool], ...]) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "results", results)
 
     @property
     def all_pass(self) -> bool:
@@ -170,12 +170,20 @@ def coset_slice(f: FinMap, x: Sequence[int], w: Sequence[int]) -> FinMap:
     return FinMap(Z2, kept)
 
 
-@dataclass(frozen=True)
-class SliceReport:
-    coset_key: int  # wedge(w, y) shared by the whole line
-    base_point: Tuple[int, int]
-    convolution: PeriodicMap
-    period_vectors: Tuple[Tuple[int, int], ...]  # invariance shifts within [0, q)²
+class SliceReport(_Record):
+    __slots__ = ("coset_key", "base_point", "convolution", "period_vectors")
+
+    def __init__(
+        self,
+        coset_key: int,  # wedge(w, y) shared by the whole line
+        base_point: Tuple[int, int],
+        convolution: PeriodicMap,
+        period_vectors: Tuple[Tuple[int, int], ...],  # invariance shifts within [0, q)²
+    ) -> None:
+        object.__setattr__(self, "coset_key", coset_key)
+        object.__setattr__(self, "base_point", base_point)
+        object.__setattr__(self, "convolution", convolution)
+        object.__setattr__(self, "period_vectors", period_vectors)
 
 
 def slicing_periodicity_check(
@@ -219,25 +227,29 @@ def slicing_periodicity_check(
     return tuple(reports)
 
 
-@dataclass(frozen=True)
-class Window2D:
+class Window2D(_Record):
     """Finite rectangular window of values; inclusive integer bounds.
 
     Out-of-range lookups raise — a window never pretends to know values it
     was not given.
     """
 
-    x_range: Tuple[int, int]
-    y_range: Tuple[int, int]
-    values: Tuple[Tuple[object, ...], ...]  # rows indexed by x, columns by y
+    __slots__ = ("x_range", "y_range", "values")
 
-    def __post_init__(self):
-        (x0, x1), (y0, y1) = self.x_range, self.y_range
+    def __init__(
+        self,
+        x_range: Tuple[int, int],
+        y_range: Tuple[int, int],
+        values: Tuple[Tuple[object, ...], ...],  # rows indexed by x, columns by y
+    ) -> None:
+        (x0, x1), (y0, y1) = x_range, y_range
         if x1 < x0 or y1 < y0:
             raise InputError("window bounds are empty")
-        rows = tuple(tuple(row) for row in self.values)
+        rows = tuple(tuple(row) for row in values)
         if len(rows) != x1 - x0 + 1 or any(len(row) != y1 - y0 + 1 for row in rows):
             raise InputError("value grid does not match the window bounds")
+        object.__setattr__(self, "x_range", x_range)
+        object.__setattr__(self, "y_range", y_range)
         object.__setattr__(self, "values", rows)
 
     @classmethod
@@ -285,6 +297,8 @@ def cesaro_average(a: Window2D, v: Sequence[int], n_terms: int) -> Window2D:
     ny = axis(a.y_range, vy)
     if nx[1] < nx[0] or ny[1] < ny[0]:
         raise InputError("averaging window is empty; enlarge the input window")
+    from fractions import Fraction
+
     return Window2D.from_function(
         nx,
         ny,

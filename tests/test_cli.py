@@ -306,6 +306,14 @@ def test_cli_multitile_budget_file_section(tmp_path, capsys):
         capsys, ["decide-multitile", _write(tmp_path, prob), "--max-q", "2"]
     )
     assert code == 0
+    # a flag replaces only its own field; the others keep the file's values
+    code, payload, _ = _run(
+        capsys, ["decide-multitile", _write(tmp_path, prob), "--max-box", "2"]
+    )
+    assert code == 2
+    assert payload["budget_note"] == (
+        "exhausted torus sides [1] and box radii [0, 1, 2] with 30 nodes per attempt"
+    )
 
 
 def test_cli_multitile_needs_g(tmp_path, capsys):

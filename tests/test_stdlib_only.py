@@ -1,6 +1,9 @@
-"""The runtime package imports nothing outside the standard library."""
+"""The runtime package imports nothing outside the standard library, and
+the command-line front end loads no standard module it does not need."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,3 +26,24 @@ def test_absolute_imports_are_stdlib(path):
         if name != "__future__" and name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+# each costs milliseconds per cold CLI request and is needed, if at all,
+# only off the common path (a crash traceback, an exact Fraction)
+HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "traceback"}
+
+
+def _modules_after(statement):
+    code = f"import sys; {statement}; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return set(out.stdout.split())
+
+
+def test_cli_import_loads_no_heavy_stdlib_module():
+    # against a bare interpreter, so that modules a site hook preloads do not count
+    new = _modules_after("import abeltile.cli") - _modules_after("pass")
+    assert "abeltile.cli" in new
+    assert sorted(new & HEAVY) == []
