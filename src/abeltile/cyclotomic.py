@@ -190,12 +190,6 @@ class CycElement(_Record):
             raise InputError("mixed cyclotomic levels")
         return CycElement(self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "CycElement":
-        return CycElement(self.level, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other: "CycElement") -> "CycElement":
-        return self + (-other)
-
     def coeff0(self) -> int:
         """Coefficient of zeta^0; the retraction functional on this ring."""
         return self.coeffs[0]

@@ -79,9 +79,6 @@ class GroupSpec(_Record):
     def sub(self, x: Sequence[int], y: Sequence[int]) -> GroupElement:
         return self.canonicalize(tuple(a - b for a, b in zip(x, y)))
 
-    def neg(self, x: Sequence[int]) -> GroupElement:
-        return self.canonicalize(tuple(-a for a in x))
-
     def scale(self, r: int, x: Sequence[int]) -> GroupElement:
         return self.canonicalize(tuple(r * a for a in x))
 
@@ -238,14 +235,6 @@ class PeriodicMap:
     @property
     def is_zero(self) -> bool:
         return not any(self.values)
-
-    def with_period(self, period: int) -> "PeriodicMap":
-        """Re-expand onto a multiple of the current period."""
-        if period % self.period != 0:
-            raise InputError("new period must be a multiple of the old one")
-        if period == self.period:
-            return self
-        return PeriodicMap.from_function(self.group, period, self.value)
 
     def equals(self, other: "PeriodicMap") -> bool:
         """Pointwise equality as functions on the group (periods may differ)."""

@@ -56,9 +56,6 @@ class TorusAssignment(_Record):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "bits", bits)
 
-    def bit(self, x: int, y: int) -> int:
-        return self.bits[(x % self.q) * self.q + (y % self.q)]
-
     def to_periodic_map(self) -> PeriodicMap:
         return PeriodicMap(Z2, self.q, self.bits)
 

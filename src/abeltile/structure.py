@@ -1,18 +1,12 @@
-"""Desk-scale calculators around the planar structure of tiling equations:
-wedge products and complementary vectors, dilation stability reports, coset
-slicing, slice-convolution periodicity reports, and finite Cesàro averages
-along a direction.
-
-Everything here is exact on finite data.  The one knowingly approximate
-object is cesaro_average: the true direction-averaging projection uses a
-generalized (non-computable) limit, so this module only ever exposes the
-finite mean over an orbit segment and says so.
+"""Planar structure of tiling equations: wedge products and complementary
+vectors, dilation stability reports, and coset slicing.  Everything here is
+exact.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import InputError, _Record, _want_int
 from .groups import (
@@ -24,15 +18,11 @@ from .groups import (
 )
 
 __all__ = [
-    "Window2D",
     "wedge",
     "complement",
     "DilationReport",
     "dilation_check",
     "coset_slice",
-    "SliceReport",
-    "slicing_periodicity_check",
-    "cesaro_average",
 ]
 
 Z2 = GroupSpec(2)
@@ -126,6 +116,8 @@ def dilation_check(
     (it can legitimately fail when q lacks the divisibility the stability
     statement needs, and such failures are data, not errors).
     """
+    if g.group != f.group:
+        raise InputError("g lives on a different group")
     _want_int(q, "q", 1)
     base = convolve_periodic(f, a)
     if not base.equals(g):
@@ -168,142 +160,3 @@ def coset_slice(f: FinMap, x: Sequence[int], w: Sequence[int]) -> FinMap:
         if wedge(w, (y[0] - x[0], y[1] - x[1])) == 0
     }
     return FinMap(Z2, kept)
-
-
-class SliceReport(_Record):
-    __slots__ = ("coset_key", "base_point", "convolution", "period_vectors")
-
-    def __init__(
-        self,
-        coset_key: int,  # wedge(w, y) shared by the whole line
-        base_point: Tuple[int, int],
-        convolution: PeriodicMap,
-        period_vectors: Tuple[Tuple[int, int], ...],  # invariance shifts within [0, q)²
-    ) -> None:
-        object.__setattr__(self, "coset_key", coset_key)
-        object.__setattr__(self, "base_point", base_point)
-        object.__setattr__(self, "convolution", convolution)
-        object.__setattr__(self, "period_vectors", period_vectors)
-
-
-def slicing_periodicity_check(
-    f: FinMap, phi: PeriodicMap, w: Sequence[int]
-) -> Tuple[SliceReport, ...]:
-    """Convolve each line-slice of f with phi and report its repeat vectors.
-
-    phi's declared square period q is first checked to make phi invariant
-    under the shift by q·w (the hypothesis the slicing statement runs on).
-    One report per line of direction w meeting supp(f), keyed by the wedge
-    value that names the line; the repeat vectors are all shifts in [0, q)²
-    fixing the slice convolution, so the quotient reader can see the full
-    invariance lattice at a glance.  f = 0 yields an empty report.
-    """
-    if f.group != Z2 or phi.group != Z2:
-        raise InputError("slicing is implemented for Z² only")
-    w = _require_primitive(w)
-    q = phi.period
-    qw = (q * w[0], q * w[1])
-    for x in Z2.fundamental_domain(q):
-        if phi.value((x[0] + qw[0], x[1] + qw[1])) != phi.value(x):
-            raise InputError(f"phi is not invariant under the shift {qw}")
-
-    lines: Dict[int, Tuple[int, int]] = {}
-    for y in f.support():
-        key = wedge(w, y)
-        lines.setdefault(key, y)
-    reports = []
-    for key in sorted(lines):
-        base = lines[key]
-        conv = convolve_periodic(coset_slice(f, base, w), phi)
-        vectors = tuple(
-            v
-            for v in Z2.fundamental_domain(conv.period)
-            if all(
-                conv.value((x[0] + v[0], x[1] + v[1])) == conv.value(x)
-                for x in Z2.fundamental_domain(conv.period)
-            )
-        )
-        reports.append(SliceReport(key, base, conv, vectors))
-    return tuple(reports)
-
-
-class Window2D(_Record):
-    """Finite rectangular window of values; inclusive integer bounds.
-
-    Out-of-range lookups raise — a window never pretends to know values it
-    was not given.
-    """
-
-    __slots__ = ("x_range", "y_range", "values")
-
-    def __init__(
-        self,
-        x_range: Tuple[int, int],
-        y_range: Tuple[int, int],
-        values: Tuple[Tuple[object, ...], ...],  # rows indexed by x, columns by y
-    ) -> None:
-        (x0, x1), (y0, y1) = x_range, y_range
-        if x1 < x0 or y1 < y0:
-            raise InputError("window bounds are empty")
-        rows = tuple(tuple(row) for row in values)
-        if len(rows) != x1 - x0 + 1 or any(len(row) != y1 - y0 + 1 for row in rows):
-            raise InputError("value grid does not match the window bounds")
-        object.__setattr__(self, "x_range", x_range)
-        object.__setattr__(self, "y_range", y_range)
-        object.__setattr__(self, "values", rows)
-
-    @classmethod
-    def from_function(
-        cls, x_range: Tuple[int, int], y_range: Tuple[int, int], fn: Callable
-    ) -> "Window2D":
-        return cls(
-            tuple(x_range),
-            tuple(y_range),
-            tuple(
-                tuple(fn(x, y) for y in range(y_range[0], y_range[1] + 1))
-                for x in range(x_range[0], x_range[1] + 1)
-            ),
-        )
-
-    def value(self, x: int, y: int):
-        if not (self.x_range[0] <= x <= self.x_range[1]):
-            raise InputError(f"x = {x} outside window x-range {self.x_range}")
-        if not (self.y_range[0] <= y <= self.y_range[1]):
-            raise InputError(f"y = {y} outside window y-range {self.y_range}")
-        return self.values[x - self.x_range[0]][y - self.y_range[0]]
-
-
-def cesaro_average(a: Window2D, v: Sequence[int], n_terms: int) -> Window2D:
-    """Finite Cesàro mean (1/N)·Σ_{n=1..N} a(x + n·v) — an *approximation* of
-    the direction-averaging projection (the genuine projection needs a
-    generalized limit, which no finite computation produces).
-
-    The domain shrinks so every sampled point stays inside a's window; values
-    are exact Fractions.  The mean is a sup-norm contraction and reproduces
-    any v-periodic window exactly on the shrunken domain.
-    """
-    v = _vec2(v)
-    _want_int(n_terms, "n_terms", 1)
-    # x + n*v must stay in bounds for n = 1..N, per axis
-    vx, vy = v
-
-    def axis(rng, step):
-        lo, hi = rng
-        # lo <= x + n*step <= hi for all n in 1..N
-        lows = [lo - n * step for n in range(1, n_terms + 1)]
-        highs = [hi - n * step for n in range(1, n_terms + 1)]
-        return max(lows), min(highs)
-    nx = axis(a.x_range, vx)
-    ny = axis(a.y_range, vy)
-    if nx[1] < nx[0] or ny[1] < ny[0]:
-        raise InputError("averaging window is empty; enlarge the input window")
-    from fractions import Fraction
-
-    return Window2D.from_function(
-        nx,
-        ny,
-        lambda x, y: Fraction(
-            sum(a.value(x + n * vx, y + n * vy) for n in range(1, n_terms + 1)),
-            n_terms,
-        ),
-    )

@@ -11,9 +11,7 @@ from abeltile import (
     PeriodicMap,
     SearchBudget,
     TorusAssignment,
-    Window2D,
     box_refute,
-    cesaro_average,
     cyclotomic_poly,
     decide_level_shift,
     decide_zero_annihilator,
@@ -30,7 +28,6 @@ POINT = FinMap.delta(Z, (0,))
 CELL = FinMap.delta(Z2, (0, 0))
 ONE_Z = PeriodicMap.constant(Z, 1)
 ONE_Z2 = PeriodicMap.constant(Z2, 1)
-WINDOW = Window2D.from_function((0, 3), (0, 3), lambda x, y: x + y)
 
 # (parameter, minimum, call with the argument under test)
 PARAMETERS = [
@@ -54,7 +51,6 @@ PARAMETERS = [
     ("box_refute max_nodes", 1, lambda v: box_refute(CELL, ONE_Z2, 0, max_nodes=v)),
     ("dilation_check q", 1, lambda v: dilation_check(POINT, ONE_Z, ONE_Z, v, [1])),
     ("dilation_check r", 1, lambda v: dilation_check(POINT, ONE_Z, ONE_Z, 1, [v])),
-    ("cesaro_average n_terms", 1, lambda v: cesaro_average(WINDOW, (1, 0), v)),
 ]
 IDS = [name for name, _, _ in PARAMETERS]
 

@@ -37,9 +37,7 @@ THREES = PeriodicMap.constant(Z2, 3)
 
 
 def test_assignment_validation():
-    a = TorusAssignment(2, (0, 1, 1, 0))
-    assert a.bit(0, 1) == 1 and a.bit(1, 1) == 0
-    assert a.bit(2, 3) == a.bit(0, 1)  # wraps
+    assert TorusAssignment(2, [0, 1, 1, 0]).bits == (0, 1, 1, 0)
     with pytest.raises(InputError):
         TorusAssignment(0, ())
     with pytest.raises(InputError):
@@ -143,7 +141,7 @@ def test_periodic_search_matches_brute_force():
             supp[p] = rng.choice([-1, 1, 2])
         f = FinMap(Z2, supp)
         q = rng.choice([1, 2, 3])
-        g = PeriodicMap(Z2, 1, [rng.randint(0, 2)]).with_period(q)
+        g = PeriodicMap.constant(Z2, rng.randint(0, 2), q)
         want = torus_brute(f.entries, g.value, q)
         got = periodic_search(f, g, q)
         if want is None:

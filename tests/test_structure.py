@@ -1,9 +1,8 @@
-"""Planar structure helpers: wedge/complement, dilation and slicing reports,
-finite Cesàro means."""
+"""Planar structure helpers: wedge/complement, dilation reports and coset
+slices."""
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,12 +11,9 @@ from abeltile import (
     GroupSpec,
     InputError,
     PeriodicMap,
-    Window2D,
-    cesaro_average,
     complement,
     coset_slice,
     dilation_check,
-    slicing_periodicity_check,
     wedge,
 )
 
@@ -127,6 +123,13 @@ def test_dilation_check_preconditions():
         dilation_check(DOMINO_Z, SIGN, ZEROMAP, 2, [0])
     with pytest.raises(InputError):
         dilation_check(DOMINO_Z, SIGN, ZEROMAP, 2, [True])
+    # g on another group: of the same rank, and of another rank
+    z2 = GroupSpec(0, (2,))
+    f, a = FinMap.delta(z2, (0,)), PeriodicMap.constant(z2, 1)
+    with pytest.raises(InputError, match="different group"):
+        dilation_check(f, a, PeriodicMap.constant(GroupSpec(0, (3,)), 1), 1, [1])
+    with pytest.raises(InputError, match="different group"):
+        dilation_check(DOMINO_Z, SIGN, PeriodicMap.constant(Z2, 0), 2, [1])
 
 
 def test_dilation_check_on_plane_fixture():
@@ -176,138 +179,3 @@ def test_coset_slice_input_errors():
         coset_slice(f, (0, 0), (2, 4))
     with pytest.raises(InputError):
         coset_slice(f, (0, 0), (0, 0))
-
-
-# ------------------------------------------------------------ slice reports
-
-
-def test_slicing_report_constant_phi():
-    f = FinMap.indicator(Z2, [(0, 0), (1, 0), (0, 1)])
-    reports = slicing_periodicity_check(f, PeriodicMap.constant(Z2, 1), (1, 0))
-    assert [rep.coset_key for rep in reports] == [0, 1]
-    line0, line1 = reports
-    assert line0.convolution.values == (2,)
-    assert line1.convolution.values == (1,)
-    assert line0.period_vectors == ((0, 0),)
-
-
-def test_slicing_report_direction_invariance():
-    f = FinMap.indicator(Z2, [(0, 0), (1, 0)])
-    phi = PeriodicMap(Z2, 2, [3, 5, 7, 9])
-    (rep,) = slicing_periodicity_check(f, phi, (1, 0))
-    assert rep.coset_key == 0
-    assert rep.convolution.values == (10, 14, 10, 14)
-    # the slice convolution picked up invariance along the slicing direction
-    assert rep.period_vectors == ((0, 0), (1, 0))
-
-
-def test_slicing_report_vectors_are_exactly_the_fixers():
-    rng = random.Random("slicerep")
-    for _ in range(10):
-        f = FinMap(
-            Z2,
-            [
-                ((rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice([-1, 1]))
-                for _ in range(4)
-            ],
-        )
-        if f.is_zero:
-            continue
-        q = rng.choice([1, 2, 3])
-        phi = PeriodicMap(Z2, q, [rng.randint(-2, 2) for _ in range(q * q)])
-        w = rng.choice([(1, 0), (0, 1), (1, 1), (1, -2)])
-        for rep in slicing_periodicity_check(f, phi, w):
-            conv = rep.convolution
-            listed = set(rep.period_vectors)
-            for v in Z2.fundamental_domain(conv.period):
-                fixes = all(
-                    conv.value((x[0] + v[0], x[1] + v[1])) == conv.value(x)
-                    for x in Z2.fundamental_domain(conv.period)
-                )
-                assert (v in listed) == fixes
-
-
-def test_slicing_report_empty_and_errors():
-    assert slicing_periodicity_check(FinMap.zero(Z2), PeriodicMap.constant(Z2, 1), (1, 0)) == ()
-    with pytest.raises(InputError):
-        slicing_periodicity_check(FinMap.delta(Z, (0,)), PeriodicMap.constant(Z, 1), (1, 0))
-    with pytest.raises(InputError):
-        slicing_periodicity_check(FinMap.delta(Z2, (0, 0)), PeriodicMap.constant(Z2, 1), (2, 2))
-
-
-# ---------------------------------------------------------------- Window2D
-
-
-def test_window_validation_and_lookup():
-    win = Window2D((0, 1), (0, 2), ((1, 2, 3), (4, 5, 6)))
-    assert win.value(1, 2) == 6
-    with pytest.raises(InputError):
-        win.value(2, 0)
-    with pytest.raises(InputError):
-        win.value(0, -1)
-    with pytest.raises(InputError):
-        Window2D((1, 0), (0, 0), ())  # empty x-range
-    with pytest.raises(InputError):
-        Window2D((0, 1), (0, 2), ((1, 2, 3),))  # missing row
-    with pytest.raises(InputError):
-        Window2D((0, 0), (0, 2), ((1, 2),))  # ragged row
-
-
-def test_window_from_function():
-    win = Window2D.from_function((-1, 1), (0, 1), lambda x, y: 10 * x + y)
-    assert win.value(-1, 0) == -10
-    assert win.value(1, 1) == 11
-
-
-# ----------------------------------------------------------- Cesàro means
-
-
-def test_cesaro_parity_flattens_to_one_half():
-    a = Window2D.from_function((0, 6), (0, 0), lambda x, y: x % 2)
-    mean = cesaro_average(a, (1, 0), 2)
-    assert mean.x_range == (-1, 4)
-    assert all(
-        mean.value(x, 0) == Fraction(1, 2) for x in range(-1, 5)
-    )
-
-
-def test_cesaro_constant_is_untouched():
-    a = Window2D.from_function((0, 4), (0, 4), lambda x, y: 7)
-    mean = cesaro_average(a, (1, 1), 3)
-    assert mean.value(0, 0) == Fraction(7)
-
-
-def test_cesaro_reproduces_periodic_windows():
-    a = Window2D.from_function((0, 8), (0, 8), lambda x, y: (x - y) % 3)
-    mean = cesaro_average(a, (1, 1), 3)  # v-periodic input, orbit period 3
-    for x in range(mean.x_range[0], mean.x_range[1] + 1):
-        for y in range(mean.y_range[0], mean.y_range[1] + 1):
-            assert mean.value(x, y) == Fraction((x - y) % 3)
-
-
-def test_cesaro_is_a_contraction():
-    rng = random.Random("cesaro")
-    for _ in range(10):
-        a = Window2D.from_function(
-            (0, 5), (0, 5), lambda x, y: rng.randint(-9, 9)
-        )
-        peak = max(abs(a.value(x, y)) for x in range(6) for y in range(6))
-        mean = cesaro_average(a, (1, 0), 2)
-        worst = max(
-            abs(mean.value(x, y))
-            for x in range(mean.x_range[0], mean.x_range[1] + 1)
-            for y in range(mean.y_range[0], mean.y_range[1] + 1)
-        )
-        assert worst <= peak
-
-
-def test_cesaro_input_errors():
-    a = Window2D.from_function((0, 2), (0, 0), lambda x, y: x)
-    with pytest.raises(InputError):
-        cesaro_average(a, (1, 0), 5)  # every sample escapes the window
-    with pytest.raises(InputError):
-        cesaro_average(a, (1, 0), 0)
-    with pytest.raises(InputError):
-        cesaro_average(a, (1, 0), True)
-    with pytest.raises(InputError):
-        cesaro_average(a, (1,), 1)
