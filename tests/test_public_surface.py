@@ -157,3 +157,35 @@ def test_record_defaults():
     assert AnnihilatorVerdict("NO") == AnnihilatorVerdict("NO", None, None, None)
     p = ProblemFile(Z1, FinMap(Z1))
     assert (p.g, p.a, p.cert, p.budget, p.dilation) == (None, None, None, SearchBudget(), None)
+
+
+# a holder record and a validating record: constructor misuse is Python's own
+# TypeError, never an AttributeError or a silently ignored argument
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MultitileVerdict(),
+        lambda: MultitileVerdict("NO", witness=None),
+        lambda: MultitileVerdict("NO", answer="NO"),
+        lambda: MultitileVerdict("NO", None, None, None, 0, 7),
+        lambda: GroupSpec(),
+        lambda: GroupSpec(1, rank=1),
+        lambda: GroupSpec(1, free_rank=1),
+        lambda: GroupSpec(1, (), 2),
+    ],
+    ids=[
+        f"{cls}-{case}"
+        for cls in ("MultitileVerdict", "GroupSpec")
+        for case in ("missing", "unknown-keyword", "repeated-keyword", "extra-positional")
+    ],
+)
+def test_record_constructor_misuse_is_type_error(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_verdict_is_yes():
+    assert MultitileVerdict("YES", TorusAssignment(1, (1,))).is_yes
+    assert not MultitileVerdict("NO").is_yes
+    assert not MultitileVerdict("UNKNOWN").is_yes
+    assert AnnihilatorVerdict("YES").is_yes and not AnnihilatorVerdict("NO").is_yes
