@@ -36,7 +36,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .cyclotomic import (
     _divisors,
@@ -76,8 +76,7 @@ class CharacterVector(_Record):
             eta = etas[group.free_rank + m]
             if not (n * eta).is_zero:
                 raise InputError(f"torsion constraint violated: {n} * {eta} != 0")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "etas", etas)
+        self._fill(group, etas)
 
     @property
     def order(self) -> int:
@@ -99,26 +98,11 @@ class CharacterVector(_Record):
 class BlockTrace(_Record):
     __slots__ = ("term_indices", "omega", "xi0")
 
-    def __init__(self, term_indices: tuple, omega: tuple, xi0: RationalMod1) -> None:
-        object.__setattr__(self, "term_indices", term_indices)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "xi0", xi0)
-
 
 class AnnihilatorVerdict(_Record):
+    # answer: "YES" | "NO"
     __slots__ = ("answer", "witness_character", "witness_map", "partition_trace")
-
-    def __init__(
-        self,
-        answer: str,  # "YES" | "NO"
-        witness_character: Optional[CharacterVector] = None,
-        witness_map: Optional[PeriodicMap] = None,
-        partition_trace: Optional[tuple] = None,
-    ) -> None:
-        object.__setattr__(self, "answer", answer)
-        object.__setattr__(self, "witness_character", witness_character)
-        object.__setattr__(self, "witness_map", witness_map)
-        object.__setattr__(self, "partition_trace", partition_trace)
+    _defaults = dict(witness_character=None, witness_map=None, partition_trace=None)
 
     @property
     def is_yes(self) -> bool:

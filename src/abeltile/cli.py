@@ -52,25 +52,9 @@ __all__ = ["ProblemFile", "parse_problem", "run", "main"]
 
 
 class ProblemFile(_Record):
+    # dilation: (q, r_list), from the file's "dilation" section
     __slots__ = ("group", "f", "g", "a", "cert", "budget", "dilation")
-
-    def __init__(
-        self,
-        group: GroupSpec,
-        f: FinMap,
-        g: Optional[PeriodicMap] = None,
-        a: Optional[PeriodicMap] = None,
-        cert: Optional[TorusAssignment] = None,
-        budget: SearchBudget = SearchBudget(),
-        dilation: Optional[Tuple[int, Tuple[int, ...]]] = None,
-    ) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "cert", cert)
-        object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "dilation", dilation)
+    _defaults = dict(g=None, a=None, cert=None, budget=SearchBudget(), dilation=None)
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,7 @@ class CycElement(_Record):
         deg = len(cyclotomic_poly(level)) - 1
         if len(coeffs) != deg:
             raise InputError(f"coefficient vector must have length phi({level}) = {deg}")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coeffs", coeffs)
+        self._fill(level, coeffs)
 
     @classmethod
     def zero(cls, L: int) -> "CycElement":
@@ -282,8 +281,7 @@ class MinimalTuple(_Record):
             raise InputError("length mismatch")
         if not entries or not entries[0].is_zero:
             raise InputError("canonical tuples start with 0")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "entries", entries)
+        self._fill(k, entries)
 
     def sort_key(self):
         return tuple(e.as_fraction() for e in self.entries)

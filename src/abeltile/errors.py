@@ -40,18 +40,36 @@ def _want_int(value, what: str, minimum: Optional[int] = None) -> int:
 class _Record:
     """Immutable value record, compared, hashed and printed by its fields.
 
-    A subclass names its fields in ``__slots__``, in the order of its
-    ``__init__`` parameters, and its ``__init__`` sets each one with
-    ``object.__setattr__``.  Equality, hash and repr follow a frozen
-    dataclass: records of different classes never compare equal, and the
-    repr reads ``Name(field=value, ...)``.
+    A subclass names its fields once, in ``__slots__``.  When the class is
+    created, ``__init_subclass__`` compiles its setter ``_fill(self, <fields
+    in slot order>)`` from source, as ``collections.namedtuple`` compiles its
+    ``__new__``; a class-level ``_defaults`` dict gives defaults to trailing
+    fields.  A record that only holds its fields takes ``_fill`` as its
+    constructor; one that checks its arguments keeps its own ``__init__``
+    and ends it with ``self._fill(...)``.  Equality, hash and repr follow a
+    frozen dataclass: records of different classes never compare equal, and
+    the repr reads ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
+    _defaults = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._key = operator.attrgetter(*cls.__slots__)
+        fields = cls.__slots__
+        cls._key = operator.attrgetter(*fields)
+        if tuple(cls._defaults) != fields[len(fields) - len(cls._defaults) :]:
+            raise TypeError(f"{cls.__qualname__}._defaults must name trailing fields")
+        # each slot's own descriptor sets it, past the __setattr__ that refuses
+        namespace = {f"_set{i}": getattr(cls, name).__set__ for i, name in enumerate(fields)}
+        body = "".join(f"    _set{i}(self, {name})\n" for i, name in enumerate(fields))
+        exec(f"def _fill(self, {', '.join(fields)}):\n{body}", namespace)
+        fill = namespace["_fill"]
+        fill.__defaults__ = tuple(cls._defaults.values()) or None
+        fill.__qualname__ = f"{cls.__qualname__}._fill"
+        cls._fill = fill
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = fill
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -48,8 +48,7 @@ class GroupSpec(_Record):
         torsion = tuple(torsion)
         for n in torsion:
             _want_int(n, "torsion modulus", 1)
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
+        self._fill(free_rank, torsion)
 
     @property
     def rank(self) -> int:
@@ -337,23 +336,8 @@ class Quotient(_Record):
     the Smith normal form of the relation matrix so it is reproducible.
     """
 
+    # _transform: rows of U (unimodular)
     __slots__ = ("source", "group", "_transform", "_free_idx", "_torsion_idx", "_moduli")
-
-    def __init__(
-        self,
-        source: GroupSpec,
-        group: GroupSpec,
-        _transform: tuple,  # rows of U (unimodular)
-        _free_idx: tuple,
-        _torsion_idx: tuple,
-        _moduli: tuple,
-    ) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "_transform", _transform)
-        object.__setattr__(self, "_free_idx", _free_idx)
-        object.__setattr__(self, "_torsion_idx", _torsion_idx)
-        object.__setattr__(self, "_moduli", _moduli)
 
     def project(self, coords: Sequence[int]) -> GroupElement:
         x = self.source.canonicalize(tuple(coords))

@@ -53,8 +53,7 @@ class TorusAssignment(_Record):
         for b in bits:
             if b not in (0, 1) or isinstance(b, bool):
                 raise InputError("bits must be 0 or 1")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "bits", bits)
+        self._fill(q, bits)
 
     def to_periodic_map(self) -> PeriodicMap:
         return PeriodicMap(Z2, self.q, self.bits)
@@ -72,26 +71,17 @@ class SearchBudget(_Record):
     def __init__(
         self, max_q: int = 12, max_box_radius: int = 6, max_nodes: int = 200_000
     ) -> None:
-        for name, value in zip(self.__slots__, (max_q, max_box_radius, max_nodes)):
-            object.__setattr__(self, name, _want_int(value, name, 1))
+        self._fill(
+            _want_int(max_q, "max_q", 1),
+            _want_int(max_box_radius, "max_box_radius", 1),
+            _want_int(max_nodes, "max_nodes", 1),
+        )
 
 
 class MultitileVerdict(_Record):
+    # answer: "YES" | "NO" | "UNKNOWN"
     __slots__ = ("answer", "certificate", "refutation_box_radius", "budget_note", "nodes_used")
-
-    def __init__(
-        self,
-        answer: str,  # "YES" | "NO" | "UNKNOWN"
-        certificate: Optional[TorusAssignment] = None,
-        refutation_box_radius: Optional[int] = None,
-        budget_note: Optional[str] = None,
-        nodes_used: int = 0,
-    ) -> None:
-        object.__setattr__(self, "answer", answer)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "refutation_box_radius", refutation_box_radius)
-        object.__setattr__(self, "budget_note", budget_note)
-        object.__setattr__(self, "nodes_used", nodes_used)
+    _defaults = dict(certificate=None, refutation_box_radius=None, budget_note=None, nodes_used=0)
 
     @property
     def is_yes(self) -> bool:

@@ -262,11 +262,6 @@ class SnfDecomposition(_Record):
 
     __slots__ = ("U", "D", "V")
 
-    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix) -> None:
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "V", V)
-
     @property
     def diagonal(self) -> tuple:
         n = min(self.D.rows, self.D.cols)
@@ -418,11 +413,6 @@ class QzSolutionSet(_Record):
     """
 
     __slots__ = ("particular", "shift_vectors", "shift_moduli")
-
-    def __init__(self, particular: tuple, shift_vectors: tuple, shift_moduli: tuple) -> None:
-        object.__setattr__(self, "particular", particular)
-        object.__setattr__(self, "shift_vectors", shift_vectors)
-        object.__setattr__(self, "shift_moduli", shift_moduli)
 
     @property
     def count(self) -> int:

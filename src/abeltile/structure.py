@@ -95,10 +95,6 @@ def complement(w: Sequence[int]) -> Tuple[int, int]:
 class DilationReport(_Record):
     __slots__ = ("q", "results")  # results: (r, exact equality held) pairs
 
-    def __init__(self, q: int, results: Tuple[Tuple[int, bool], ...]) -> None:
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "results", results)
-
     @property
     def all_pass(self) -> bool:
         return all(ok for _, ok in self.results)
