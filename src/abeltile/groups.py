@@ -16,7 +16,7 @@ import math
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InputError, _Record, _want_int
-from .qzlinear import HALF, ZERO, IntMatrix, RationalMod1, smith_normal_form
+from .qzlinear import HALF, ZERO, IntMatrix, smith_normal_form
 
 __all__ = [
     "GroupSpec",

@@ -47,3 +47,31 @@ def test_cli_import_loads_no_heavy_stdlib_module():
     new = _modules_after("import abeltile.cli") - _modules_after("pass")
     assert "abeltile.cli" in new
     assert sorted(new & HEAVY) == []
+
+
+def _bound_names(node):
+    for alias in node.names:
+        yield alias.asname or alias.name.split(".")[0]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+)
+def test_every_imported_name_is_used(path):
+    # a name counts as used where it appears as an identifier, or as a string
+    # equal to it: the CLI looks its deciders up in globals() by name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = [
+        name
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for name in _bound_names(node)
+    ]
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    assert [name for name in imported if name not in used] == []
