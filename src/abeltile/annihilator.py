@@ -160,6 +160,9 @@ _PREFILTER_TOL = 1e-7
 # materialize (2 * 10^9 for delta(0) + delta(10^9) on Z) is refused at once
 # instead of running out of memory.
 _CANDIDATE_CAP = 10**8
+# Most cells a dense witness may have: far above the 54^3 the benchmark builds,
+# while an order-2 character on Z^40 (2^40 cells) is refused before any is built.
+_WITNESS_CAP = 10**6
 
 
 def _solve_partition(group: GroupSpec, terms, blocks):
@@ -369,6 +372,11 @@ def witness_periodic_annihilator(group: GroupSpec, chi: CharacterVector) -> Peri
     if chi.group != group:
         raise InputError("character lives on a different group")
     order = chi.order
+    cells = group.domain_size(order)
+    if cells > _WITNESS_CAP:
+        raise CapacityError(
+            f"witness of {cells} cells, beyond the {_WITNESS_CAP} cap of this build"
+        )
     values = (
         retraction_coeff0(chi.phase(x), order) for x in group.fundamental_domain(order)
     )

@@ -81,6 +81,8 @@ def _fields(obj, path: str, required: Sequence[str] = (), optional: Sequence[str
 def _flat_ints(obj, path: str) -> List[int]:
     _want(obj, path, list, "a list")
     if obj and all(isinstance(row, list) for row in obj):
+        if len({len(row) for row in obj}) > 1:
+            raise InputError(f"{path}: rows have different lengths")
         flat: List[int] = []
         for i, row in enumerate(obj):
             flat.extend(_want_int(v, f"{path}[{i}][{j}]") for j, v in enumerate(row))

@@ -73,10 +73,12 @@ class GroupSpec(_Record):
         return (0,) * self.rank
 
     def add(self, x: Sequence[int], y: Sequence[int]) -> GroupElement:
+        if len(x) != self.rank or len(y) != self.rank:
+            raise InputError(f"operands need {self.rank} coordinates each")
         return self.canonicalize(tuple(a + b for a, b in zip(x, y)))
 
     def sub(self, x: Sequence[int], y: Sequence[int]) -> GroupElement:
-        return self.canonicalize(tuple(a - b for a, b in zip(x, y)))
+        return self.add(x, self.scale(-1, y))
 
     def scale(self, r: int, x: Sequence[int]) -> GroupElement:
         return self.canonicalize(tuple(r * a for a in x))
@@ -309,22 +311,13 @@ def dilate(f: FinMap, r: int) -> FinMap:
 def difference(f, h: Sequence[int]):
     """Difference operator ``(d_h f)(x) = f(x+h) - f(x)`` for either map kind.
 
-    Equals convolution with ``delta_{-h} - delta_0``.
+    Computed as convolution with ``delta_{-h} - delta_0``.
     """
-    if isinstance(f, FinMap):
-        g = f.group
-        out: Dict[GroupElement, int] = {}
-        for y, c in f.entries.items():
-            k1 = g.sub(y, h)
-            out[k1] = out.get(k1, 0) + c
-            out[y] = out.get(y, 0) - c
-        return FinMap(g, out)
-    if isinstance(f, PeriodicMap):
-        g = f.group
-        return PeriodicMap.from_function(
-            g, f.period, lambda x: f.value(g.add(x, h)) - f.value(x)
-        )
-    raise InputError("difference wants a FinMap or a PeriodicMap")
+    if not isinstance(f, (FinMap, PeriodicMap)):
+        raise InputError("difference wants a FinMap or a PeriodicMap")
+    zero = f.group.identity()
+    kernel = FinMap(f.group, [(f.group.sub(zero, h), 1), (zero, -1)])
+    return convolve(f, kernel) if isinstance(f, FinMap) else convolve_periodic(kernel, f)
 
 
 class Quotient(_Record):

@@ -71,11 +71,8 @@ class SearchBudget(_Record):
     def __init__(
         self, max_q: int = 12, max_box_radius: int = 6, max_nodes: int = 200_000
     ) -> None:
-        self._fill(
-            _want_int(max_q, "max_q", 1),
-            _want_int(max_box_radius, "max_box_radius", 1),
-            _want_int(max_nodes, "max_nodes", 1),
-        )
+        values = (max_q, max_box_radius, max_nodes)
+        self._fill(*(_want_int(value, name, 1) for name, value in zip(self.__slots__, values)))
 
 
 class MultitileVerdict(_Record):

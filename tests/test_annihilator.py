@@ -112,6 +112,14 @@ def test_partition_beyond_the_candidate_cap_is_refused():
         decide_zero_annihilator(Z, FinMap(Z, {(0,): 1, (10**9,): 1}))
 
 
+def test_witness_beyond_the_cell_cap_is_refused():
+    # the order-2 character kills f, but its witness on Z^20 has 2^20 cells
+    z20 = GroupSpec(20)
+    f = FinMap(z20, {(0,) * 20: 1, (1,) + (0,) * 19: 1})
+    with pytest.raises(CapacityError, match="cap of this build"):
+        decide_zero_annihilator(z20, f)
+
+
 def test_large_order_witness_reverifies():
     f = FinMap(Z, {(0,): 1, (1999,): 1})
     v = decide_zero_annihilator(Z, f)

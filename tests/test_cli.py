@@ -150,6 +150,10 @@ def test_parse_nested_rows_for_grids():
             "dilation: needs 'q' and 'r_list'",
         ),
         ('{"group": {"free_rank": 1}, "f": [], "budget": [1]}', "budget: expected an object"),
+        (
+            '{"group": {"free_rank": 2}, "f": [], "g": {"period": 2, "values": [[1], [1, 1, 1]]}}',
+            "g.values: rows have different lengths",
+        ),
     ],
 )
 def test_parse_rejections(text, needle):
@@ -212,6 +216,18 @@ def test_cli_decide_zero_refuses_a_partition_beyond_the_candidate_cap(tmp_path, 
     assert code == 4
     assert payload["answer"] == "ERROR"
     assert "candidates" in payload["error"]
+
+
+def test_cli_decide_zero_refuses_a_witness_beyond_the_cell_cap(tmp_path, capsys):
+    # the order-2 character kills f at once, but its witness would have 2^40 cells
+    wide = {
+        "group": {"free_rank": 40},
+        "f": [{"elem": [0] * 40, "coeff": 1}, {"elem": [1] + [0] * 39, "coeff": 1}],
+    }
+    code, payload, _ = _run(capsys, ["decide-zero", _write(tmp_path, wide)])
+    assert code == 4
+    assert payload["answer"] == "ERROR"
+    assert f"witness of {2**40} cells" in payload["error"]
 
 
 def test_cli_decide_zero_no_on_far_apart_points(tmp_path, capsys):

@@ -300,6 +300,23 @@ def test_difference_rejects_other_types():
         difference({(0,): 1}, (1,))
 
 
+@pytest.mark.parametrize(
+    "apply",
+    [
+        lambda: Z.add((1,), (1, 2)),
+        lambda: Z.sub((1, 2), (1,)),
+        lambda: FinMap(Z, {(0,): 1}).shift((1, 2)),
+        lambda: difference(FinMap(Z, {(0,): 1}), (1, 7, 9)),
+        lambda: difference(PeriodicMap(Z, 2, [1, 5]), (1, 7)),
+    ],
+    ids=["add", "sub", "shift", "difference-finmap", "difference-periodic"],
+)
+def test_too_long_vector_is_rejected(apply):
+    # zip would silently drop the extra coordinates
+    with pytest.raises(InputError):
+        apply()
+
+
 # ------------------------------------------------- quotients / pushforward
 
 
