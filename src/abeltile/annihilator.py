@@ -20,15 +20,19 @@ by exact cyclotomic arithmetic — full-block vanishing and minimality — with 
 fast floating-point magnitude prefilter in front.  A verdict of NO therefore
 means the whole space was exhausted, not that an enumeration was truncated.
 
-On Z/N and Z a pre-check runs first and proves most NO answers without the
-partition search.  Every block of a killing character's partition meets two
-distinct support points x, y, and Mann's bound puts the order of the
-character among the divisors of gcd(N, mann_bound(n) * (x - y)), with N = 0
-on Z.  By Galois conjugacy one character per candidate order decides that
-order, tested by the same prefilter and exact zero test.  When every
-candidate is non-zero the answer is NO; otherwise (a zero, or a candidate
-beyond a cap) the partition search runs as above, so a YES always comes
-from it, with its character, blocks and witness.
+On groups of free rank at most one (Z/N, Z, Z x K and finite Z/N_1 x K) a
+pre-check runs first and proves most NO answers without the partition
+search.  Split a character into eta on the first coordinate (Z, or Z/N_1)
+and kappa on the rest K, of exponent e.  Every block of a killing
+character's partition meets two distinct support points x, y, and Mann's
+bound puts the order of eta among the divisors of
+gcd(N_1, mann_bound(n) * e * (x_1 - y_1)), with N_1 = 0 on Z, or at 1 when
+every block sits on one first coordinate.  By Galois conjugacy the
+characters (1/m, kappa), one per kappa, decide order m, tested by the same
+prefilter and exact zero test.  When every candidate is non-zero the answer
+is NO; otherwise (a zero, a candidate beyond a cap, or K too large) the
+partition search runs as above, so a YES always comes from it, with its
+character, blocks and witness.
 """
 
 from __future__ import annotations
@@ -265,46 +269,86 @@ def _solve_partition(group: GroupSpec, terms, blocks):
 
 
 # ---------------------------------------------------------------------------
-# rank-one pre-check: one character per candidate order
+# pre-check on free rank <= 1: one character per candidate order and kappa
 
 _PRECHECK_FACTOR_CAP = 10**12
+# Most characters kappa of K that the pre-check pairs with each candidate
+# order; on Z/1000 x Z/1000 the partition search beats 1000 tests per order.
+_PRECHECK_DUAL_CAP = 64
+
+
+def _may_vanish(phases) -> bool:
+    """False only if the exact test proves the sum of the e(phase) non-zero."""
+    try:
+        return sum_roots_is_zero(phases)
+    except CapacityError:
+        return True
 
 
 def _no_killing_character(group: GroupSpec, f: FinMap, n: int) -> bool:
-    """True only if no finite-order character of Z/N or Z kills f-hat.
+    """True only if no finite-order character kills f-hat, on a group of
+    free rank at most one: Z/N and Z, Z x K and finite Z/N_1 x K.
 
-    A killing character of order m splits the n = l1(f) unit terms into
-    minimal vanishing blocks.  Each block meets two distinct support points
-    x, y, because the terms at one point share a sign.  By Mann's theorem the
-    rotated phases of a block have orders dividing M = mann_bound(n); M is
-    even, so the sign offsets 0 or 1/2 add nothing and m divides M*(x - y),
-    and N on Z/N.  Galois conjugation carries f-hat(1/m) to f-hat(u/m) for
-    every u prime to m, so one character per candidate order settles it.
+    Write a character as (eta, kappa): eta on the first coordinate, Z or
+    Z/N_1 (N_1 = 0 on Z), and kappa on the remaining torsion K of exponent e
+    (1 when K is empty).  A killing character splits the n = l1(f) unit
+    terms into minimal vanishing blocks.  Each block meets two distinct
+    support points x, y, because the terms at one point share a sign.  By
+    Mann's theorem the rotated phases of a block have orders dividing
+    M = mann_bound(n); M is even, so the sign offsets 0 or 1/2 add nothing,
+    and e removes kappa: M*e*eta*(x_1 - y_1) = 0.  So the order m of eta
+    divides gcd(N_1, M*e*(x_1 - y_1)) for a pair with x_1 != y_1.  If every
+    block sits on one x_1 instead, its sum is e(-eta*x_1) times a sum over K
+    alone, and eta = 0 kills f-hat too: m = 1.  Galois conjugation by some
+    v = u^-1 (mod m) prime to lcm(m, e) carries f-hat(u/m, kappa) to
+    f-hat(1/m, v*kappa), so the characters (1/m, kappa), one per kappa,
+    settle order m.
 
     Any other group returns False, and so does every case this check cannot
-    close: a candidate bound beyond the factoring cap, a character that kills
-    f-hat, or an exact test beyond the cyclotomic cap.  The partition search
-    then decides.
+    close: |K| beyond the dual cap, a candidate bound beyond the factoring
+    cap, a character that kills f-hat, or an exact test beyond the
+    cyclotomic cap.  The partition search then decides.
     """
-    if group.rank != 1:
+    if group.free_rank > 1 or not group.rank:
         return False
-    modulus = group.torsion[0] if group.torsion else 0  # gcd(0, k) = |k| on Z
-    points = [x for (x,) in f.entries]
-    mk = mann_bound(n)
-    bounds = {math.gcd(modulus, mk * (x - y)) for i, x in enumerate(points) for y in points[:i]}
+    modulus = 0 if group.free_rank else group.torsion[0]  # gcd(0, k) = |k| on Z
+    rest = group.torsion[1 - group.free_rank :]
+    if math.prod(rest) > _PRECHECK_DUAL_CAP:
+        return False
+    firsts = [x[0] for x in f.entries]
+    mk = mann_bound(n) * math.lcm(*rest)
+    bounds = {
+        math.gcd(modulus, mk * (x - y)) for i, x in enumerate(firsts) for y in firsts[:i] if x != y
+    }
     if any(b > _PRECHECK_FACTOR_CAP for b in bounds):
         return False
+    orders = sorted({d for b in bounds for d in _divisors(b)})
     terms = list(f.entries.items())
-    for m in sorted({d for b in bounds for d in _divisors(b)}):
-        s = sum(c * cmath.exp(-2j * cmath.pi * (x % m) / m) for (x,), c in terms)
-        if abs(s) > _PREFILTER_TOL:
-            continue
-        phases = [eps - RationalMod1(x % m, m) for (x,), eps in unit_expansion(f)]
-        try:
-            if sum_roots_is_zero(phases):
+    if not rest:
+        for m in orders:
+            s = sum(c * cmath.exp(-2j * cmath.pi * (x % m) / m) for (x,), c in terms)
+            if abs(s) > _PREFILTER_TOL:
+                continue
+            if _may_vanish([eps - RationalMod1(x % m, m) for (x,), eps in unit_expansion(f)]):
                 return False
-        except CapacityError:
-            return False
+        return True
+    # per kappa, f pushed to the first coordinate with kappa's phases folded in
+    kappas = list(itertools.product(*map(range, rest)))
+    pushed = []
+    for kappa in kappas:
+        acc = dict.fromkeys(firsts, 0j)
+        for (x, *k), c in terms:
+            t = sum(a * km % nm / nm for a, km, nm in zip(kappa, k, rest))
+            acc[x] += c * cmath.exp(-2j * cmath.pi * t)
+        pushed.append(acc)
+    for m in orders or [1]:
+        w = {x: cmath.exp(-2j * cmath.pi * (x % m) / m) for x in firsts}
+        for kappa, acc in zip(kappas, pushed):
+            if abs(sum(c * w[x] for x, c in acc.items())) > _PREFILTER_TOL:
+                continue
+            etas = (RationalMod1(1, m), *map(RationalMod1, kappa, rest))
+            if _may_vanish(CharacterVector(group, etas).fourier_phases(f)):
+                return False
     return True
 
 

@@ -319,13 +319,46 @@ def _rank_one_group(rng, which):
     return Z if which == "Z" else GroupSpec(0, (rng.randint(13, 60),))
 
 
-@pytest.mark.parametrize("which", ["Z", "Z/N"])
+# groups of free rank <= 1 beyond rank one: Z x K and finite products
+SMALL_GROUPS = {
+    "ZxZ/2": Z_X_ZMOD2,
+    "ZxZ/3": GroupSpec(1, (3,)),
+    "ZxZ/4": GroupSpec(1, (4,)),
+    "ZxZ/2xZ/2": GroupSpec(1, (2, 2)),
+    "Z/2xZ/4": GroupSpec(0, (2, 4)),
+    "Z/3xZ/3": GroupSpec(0, (3, 3)),
+    "(Z/2)^3": GroupSpec(0, (2, 2, 2)),
+}
+
+
+def _random_small(rng, group):
+    """f with l1 norm 2..8; free coordinate in [-5, 5], torsion anywhere."""
+    while True:
+        items = []
+        for _ in range(rng.randint(1, 4)):
+            free = [rng.randint(-5, 5) for _ in range(group.free_rank)]
+            items.append(
+                (tuple(free + [rng.randrange(n) for n in group.torsion]), rng.choice([-2, -1, 1, 2]))
+            )
+        f = FinMap(group, items)
+        if 2 <= l1_norm(f) <= 8:
+            return f
+
+
+def _precheck_case(rng, which):
+    if which in SMALL_GROUPS:
+        group = SMALL_GROUPS[which]
+        return group, _random_small(rng, group)
+    group = _rank_one_group(rng, which)
+    return group, _random_rank_one(rng, group)
+
+
+@pytest.mark.parametrize("which", ["Z", "Z/N", *SMALL_GROUPS])
 def test_precheck_no_iff_partition_search_no(monkeypatch, which):
     rng = random.Random(f"precheck-{which}")
     answers = []
     for _ in range(120):
-        group = _rank_one_group(rng, which)
-        f = _random_rank_one(rng, group)
+        group, f = _precheck_case(rng, which)
         proved_no = annihilator._no_killing_character(group, f, l1_norm(f))
         search = _partition_search_alone(monkeypatch, group, f).answer
         assert proved_no == (search == "NO"), (group, f.entries)
@@ -348,6 +381,35 @@ def test_rank_one_verdict_invariant_under_automorphisms(which):
             n = group.torsion[0]
             u = rng.choice([u for u in range(2, n) if math.gcd(u, n) == 1])
             moved.append(FinMap(group, [((u * x,), c) for (x,), c in f.entries.items()]))
+        for h in moved:
+            assert decide_zero_annihilator(group, h).answer == want, (group, f.entries, h.entries)
+
+
+def _remap(f, move):
+    return FinMap(f.group, [(move(*x), c) for x, c in f.entries.items()])
+
+
+@pytest.mark.parametrize("which", ["ZxZ/2", "ZxZ/3", "ZxZ/4", "ZxZ/2xZ/2"])
+def test_z_times_k_verdict_invariant_under_automorphisms(which):
+    group = SMALL_GROUPS[which]
+    rng = random.Random(f"precheck-invariance-{which}")
+    for _ in range(40):
+        f = _random_small(rng, group)
+        want = decide_zero_annihilator(group, f).answer
+        i = rng.randrange(len(group.torsion))  # a cyclic factor Z/n of K
+        n = group.torsion[i]
+        u = rng.choice([u for u in range(1, n) if math.gcd(u, n) == 1])
+        t = rng.randint(1, 3)
+
+        def on_factor(k, value):
+            return (*k[:i], value, *k[i + 1 :])
+
+        moved = [
+            f.shift((rng.randint(-20, 20), *(rng.randrange(m) for m in group.torsion))),
+            _remap(f, lambda x, *k: (-x, *k)),
+            _remap(f, lambda x, *k: (x, *on_factor(k, u * k[i]))),
+            _remap(f, lambda x, *k: (x, *on_factor(k, k[i] + t * x))),  # shear
+        ]
         for h in moved:
             assert decide_zero_annihilator(group, h).answer == want, (group, f.entries, h.entries)
 
@@ -393,6 +455,37 @@ def test_precheck_no_on_far_apart_points_of_z(monkeypatch):
     f = FinMap(Z, {(0,): 1, (10**9,): 2})
     assert decide_zero_annihilator(Z, f).answer == "NO"
     assert calls == []
+
+
+def test_precheck_no_on_far_apart_points_of_z_times_z2(monkeypatch):
+    # the Q/Z solve for this f leaves 12 * 10^9 candidates, beyond the cap
+    calls = _counting_solver(monkeypatch)
+    f = FinMap(Z_X_ZMOD2, {(0, 0): 1, (10**9, 1): 2})
+    assert decide_zero_annihilator(Z_X_ZMOD2, f).answer == "NO"
+    assert calls == []
+    # its YES twin, killed by (0, 1/2), is still refused by the partition search
+    twin = FinMap(Z_X_ZMOD2, {(0, 0): 1, (10**9, 1): 1})
+    assert not annihilator._no_killing_character(Z_X_ZMOD2, twin, 2)
+    with pytest.raises(CapacityError, match="candidates"):
+        decide_zero_annihilator(Z_X_ZMOD2, twin)
+
+
+def test_precheck_bound_carries_the_exponent_of_k():
+    # killed by (1/24, 5/8): the order 24 of eta divides no mann_bound(3) *
+    # (x_1 - y_1), which is 6 or 12 here, only its multiple by exp(Z/8) = 8
+    g = GroupSpec(1, (8,))
+    f = FinMap(g, {(0, 0): 1, (1, 1): 1, (2, 6): -1})
+    assert sum_roots_is_zero(CharacterVector(g, (r(1, 24), r(5, 8))).fourier_phases(f))
+    assert not annihilator._no_killing_character(g, f, 3)
+    assert decide_zero_annihilator(g, f).is_yes
+
+
+def test_precheck_steps_aside_past_the_dual_cap():
+    # 1 + e(-c) + e(-2c), c = eta + kappa in (1/1000)Z, vanishes only at order 3
+    g = GroupSpec(0, (1000, 1000))
+    f = FinMap.indicator(g, [(0, 0), (1, 1), (2, 2)])
+    assert not annihilator._no_killing_character(g, f, 3)
+    assert decide_zero_annihilator(g, f).answer == "NO"
 
 
 def test_precheck_no_on_z_mod_two_to_the_forty(monkeypatch):

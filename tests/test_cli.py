@@ -242,6 +242,23 @@ def test_cli_decide_zero_no_on_far_apart_points(tmp_path, capsys):
         assert payload == {"answer": "NO", "command": command}
 
 
+def test_cli_decide_zero_no_on_far_apart_points_of_z_times_z2(tmp_path, capsys):
+    # a NO, not a capacity refusal: the partition search would face 12 * 10^9
+    # candidates; its YES twin (coefficient 1) still meets that refusal
+    def far(coeff):
+        return {
+            "group": {"free_rank": 1, "torsion": [2]},
+            "f": [{"elem": [0, 0], "coeff": 1}, {"elem": [10**9, 1], "coeff": coeff}],
+        }
+
+    code, payload, _ = _run(capsys, ["decide-zero", _write(tmp_path, far(2))])
+    assert code == 1
+    assert payload == {"answer": "NO", "command": "decide-zero"}
+    code, payload, _ = _run(capsys, ["decide-zero", _write(tmp_path, far(1))])
+    assert code == 4
+    assert "candidates" in payload["error"]
+
+
 def test_cli_decide_levelshift(tmp_path, capsys):
     code, payload, _ = _run(capsys, ["decide-levelshift", _write(tmp_path, DOMINO_Z)])
     assert code == 0 and payload["answer"] == "YES"
