@@ -22,12 +22,12 @@ means the whole space was exhausted, not that an enumeration was truncated.
 
 On groups of free rank at most one (Z/N, Z, Z x K and finite Z/N_1 x K) a
 pre-check runs first and proves most NO answers without the partition
-search.  Split a character into eta on the first coordinate (Z, or Z/N_1)
-and kappa on the rest K, of exponent e.  Every block of a killing
-character's partition meets two distinct support points x, y, and Mann's
-bound puts the order of eta among the divisors of
-gcd(N_1, mann_bound(n) * e * (x_1 - y_1)), with N_1 = 0 on Z, or at 1 when
-every block sits on one first coordinate.  By Galois conjugacy the
+search.  Split a character into eta on one coordinate x_1 (Z, or the
+largest factor Z/N_1 of a finite product) and kappa on the rest K, of
+exponent e.  Every block of a killing character's partition meets two
+distinct support points x, y, and Mann's bound puts the order of eta among
+the divisors of gcd(N_1, mann_bound(n) * e * (x_1 - y_1)), with N_1 = 0 on
+Z, or at 1 when every block sits on one value of x_1.  By Galois conjugacy the
 characters (1/m, kappa), one per kappa, decide order m, tested by the same
 prefilter and exact zero test.  When every candidate is non-zero the answer
 is NO; otherwise (a zero, a candidate beyond a cap, or K too large) the
@@ -289,20 +289,22 @@ def _no_killing_character(group: GroupSpec, f: FinMap, n: int) -> bool:
     """True only if no finite-order character kills f-hat, on a group of
     free rank at most one: Z/N and Z, Z x K and finite Z/N_1 x K.
 
-    Write a character as (eta, kappa): eta on the first coordinate, Z or
+    Write a character as (eta, kappa): eta on one coordinate x_1, Z or
     Z/N_1 (N_1 = 0 on Z), and kappa on the remaining torsion K of exponent e
-    (1 when K is empty).  A killing character splits the n = l1(f) unit
-    terms into minimal vanishing blocks.  Each block meets two distinct
-    support points x, y, because the terms at one point share a sign.  By
-    Mann's theorem the rotated phases of a block have orders dividing
-    M = mann_bound(n); M is even, so the sign offsets 0 or 1/2 add nothing,
-    and e removes kappa: M*e*eta*(x_1 - y_1) = 0.  So the order m of eta
-    divides gcd(N_1, M*e*(x_1 - y_1)) for a pair with x_1 != y_1.  If every
-    block sits on one x_1 instead, its sum is e(-eta*x_1) times a sum over K
-    alone, and eta = 0 kills f-hat too: m = 1.  Galois conjugation by some
-    v = u^-1 (mod m) prime to lcm(m, e) carries f-hat(u/m, kappa) to
-    f-hat(1/m, v*kappa), so the characters (1/m, kappa), one per kappa,
-    settle order m.
+    (1 when K is empty).  On a finite product x_1 is its largest factor, the
+    first on ties, so that |K| is as small as it can be and the reach of the
+    check does not depend on the order of the factors.  A killing character
+    splits the n = l1(f) unit terms into minimal vanishing blocks.  Each
+    block meets two distinct support points x, y, because the terms at one
+    point share a sign.  By Mann's theorem the rotated phases of a block
+    have orders dividing M = mann_bound(n); M is even, so the sign offsets
+    0 or 1/2 add nothing, and e removes kappa: M*e*eta*(x_1 - y_1) = 0.  So
+    the order m of eta divides gcd(N_1, M*e*(x_1 - y_1)) for a pair with
+    x_1 != y_1.  If every block sits on one x_1 instead, its sum is
+    e(-eta*x_1) times a sum over K alone, and eta = 0 kills f-hat too:
+    m = 1.  Galois conjugation by some v = u^-1 (mod m) prime to lcm(m, e)
+    carries f-hat(u/m, kappa) to f-hat(1/m, v*kappa), so the characters
+    (1/m, kappa), one per kappa, settle order m.
 
     Any other group returns False, and so does every case this check cannot
     close: |K| beyond the dual cap, a candidate bound beyond the factoring
@@ -313,9 +315,15 @@ def _no_killing_character(group: GroupSpec, f: FinMap, n: int) -> bool:
         return False
     modulus = 0 if group.free_rank else group.torsion[0]  # gcd(0, k) = |k| on Z
     rest = group.torsion[1 - group.free_rank :]
+    terms = list(f.entries.items())
+    j = 0  # the coordinate of eta
+    if not group.free_rank and rest:  # a finite product: its largest factor
+        j = group.torsion.index(max(group.torsion))
+        modulus, rest = group.torsion[j], group.torsion[:j] + group.torsion[j + 1 :]
+        terms = [((x[j], *x[:j], *x[j + 1 :]), c) for x, c in terms]  # eta's first
     if math.prod(rest) > _PRECHECK_DUAL_CAP:
         return False
-    firsts = [x[0] for x in f.entries]
+    firsts = [x[0] for x, _ in terms]
     mk = mann_bound(n) * math.lcm(*rest)
     bounds = {
         math.gcd(modulus, mk * (x - y)) for i, x in enumerate(firsts) for y in firsts[:i] if x != y
@@ -323,7 +331,6 @@ def _no_killing_character(group: GroupSpec, f: FinMap, n: int) -> bool:
     if any(b > _PRECHECK_FACTOR_CAP for b in bounds):
         return False
     orders = sorted({d for b in bounds for d in _divisors(b)})
-    terms = list(f.entries.items())
     if not rest:
         for m in orders:
             s = sum(c * cmath.exp(-2j * cmath.pi * (x % m) / m) for (x,), c in terms)
@@ -346,7 +353,8 @@ def _no_killing_character(group: GroupSpec, f: FinMap, n: int) -> bool:
         for kappa, acc in zip(kappas, pushed):
             if abs(sum(c * w[x] for x, c in acc.items())) > _PREFILTER_TOL:
                 continue
-            etas = (RationalMod1(1, m), *map(RationalMod1, kappa, rest))
+            phases = [*map(RationalMod1, kappa, rest)]
+            etas = (*phases[:j], RationalMod1(1, m), *phases[j:])
             if _may_vanish(CharacterVector(group, etas).fourier_phases(f)):
                 return False
     return True

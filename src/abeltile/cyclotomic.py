@@ -36,32 +36,6 @@ __all__ = [
 ]
 
 
-def _poly_mul(p: tuple, q: tuple) -> tuple:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return tuple(out)
-
-
-def _poly_div_exact(num: Sequence[int], den: Sequence[int]) -> tuple:
-    """Quotient of num by monic den; raises if the division leaves a remainder."""
-    num = list(num)
-    dn = len(den) - 1
-    assert den[-1] == 1, "divisor must be monic"
-    quot = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            quot[i - dn] = c
-            for j, b in enumerate(den):
-                num[i - dn + j] -= c * b
-    if any(num):
-        raise ArithmeticError("division was not exact")
-    return tuple(quot)
-
-
 def _divisors(n: int) -> list:
     small, large = [], []
     d = 1
@@ -74,13 +48,28 @@ def _divisors(n: int) -> list:
     return small + large[::-1]
 
 
+def _mobius(n: int) -> int:
+    """Moebius function by trial division: 0 unless n is squarefree, else
+    (-1) to the number of its prime factors."""
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_poly(L: int) -> tuple:
     """Coefficients (ascending) of the L-th cyclotomic polynomial.
 
-    Computed by exact division of ``x^L - 1`` by the product of the lower
-    cyclotomic polynomials over the proper divisors of L; monic of degree
-    phi(L).
+    Computed from the Moebius product ``Phi_L = prod_(d | L) (x^d - 1)^mu(L/d)``:
+    every binomial with mu = +1 is multiplied in first, then every binomial
+    with mu = -1 is divided out by a top-down recurrence, exact because the
+    running product is still a multiple of it.  Monic of degree phi(L).
 
     >>> cyclotomic_poly(1)
     (-1, 1)
@@ -90,14 +79,17 @@ def cyclotomic_poly(L: int) -> tuple:
     (1, 0, -1, 0, 1)
     """
     _want_int(L, "level", 1)
-    if L == 1:
-        return (-1, 1)
-    prod = (1,)
-    for d in _divisors(L):
-        if d < L:
-            prod = _poly_mul(prod, cyclotomic_poly(d))
-    x_l_minus_1 = tuple([-1] + [0] * (L - 1) + [1])
-    return _poly_div_exact(x_l_minus_1, prod)
+    binomials = [(d, _mobius(L // d)) for d in _divisors(L)]
+    p = [1]
+    for d, mu in binomials:
+        if mu == 1:  # p * (x^d - 1)
+            p = [a - b for a, b in zip([0] * d + p, p + [0] * d)]
+    for d, mu in binomials:
+        if mu == -1:  # p / (x^d - 1): quotient coefficient q_(i-d) = p_i + q_i
+            for i in range(len(p) - 1, d - 1, -1):
+                p[i - d] += p[i]
+            del p[:d]
+    return tuple(p)
 
 
 # Desk-scale honesty: beyond these levels the dense representations would
@@ -253,6 +245,7 @@ def is_minimal_vanishing(thetas: Sequence[RationalMod1]) -> bool:
     return _minimal_vanishing_cached(key)
 
 
+@lru_cache(maxsize=None)
 def mann_bound(k: int) -> int:
     """Product of the primes at most k (empty product = 1).
 

@@ -59,11 +59,10 @@ def _require_primitive(w) -> Tuple[int, int]:
 def complement(w: Sequence[int]) -> Tuple[int, int]:
     """The fixed complementary vector w* with wedge(w, w*) = 1.
 
-    Any two complements differ by a multiple of w; this recipe pins one down:
-    extended gcd produces a first solution, then it is shifted by multiples of
-    w until the first coordinate lands in [0, |w0|) (or, when w0 = 0, until
-    the second coordinate is 0).  Together with w it frames the plane:
-    y = wedge(w, y)*w* - wedge(w*, y)*w for every y.
+    Any two complements differ by a multiple of w; this one has its first
+    coordinate in [0, |w0|): the inverse of -w1 modulo |w0| (0 when
+    |w0| = 1), or (-w1, 0) when w0 = 0.  Together with w it frames the
+    plane: y = wedge(w, y)*w* - wedge(w*, y)*w for every y.
 
     >>> complement((1, 0))
     (0, 1)
@@ -73,23 +72,10 @@ def complement(w: Sequence[int]) -> Tuple[int, int]:
     1
     """
     a, b = _require_primitive(w)
-    # s*a + t*b = 1, so (-t, s) pairs to a*s - b*(-t) = 1
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    c0, c1 = -old_t, old_s
-    if a != 0:
-        shift = (c0 % abs(a) - c0) // a
-    else:
-        shift = -c1 // b  # b = ±1 here, force the second coordinate to 0
-    return (c0 + shift * a, c1 + shift * b)
+    if a == 0:
+        return (-b, 0)
+    c0 = pow(-b, -1, abs(a))  # a*c1 - b*c0 = 1 needs b*c0 = -1 (mod a)
+    return (c0, (1 + b * c0) // a)
 
 
 class DilationReport(_Record):

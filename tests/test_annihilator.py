@@ -470,6 +470,22 @@ def test_precheck_no_on_far_apart_points_of_z_times_z2(monkeypatch):
         decide_zero_annihilator(Z_X_ZMOD2, twin)
 
 
+@pytest.mark.parametrize("order", ["Z/2xZ/1000", "Z/1000xZ/2"])
+def test_precheck_reach_does_not_depend_on_factor_order(monkeypatch, order):
+    # eta goes on Z/1000 either way, so K = Z/2 stays under the dual cap
+    calls = _counting_solver(monkeypatch)
+    points = {(0, 0): 1, (1, 1): 2, (0, 2): -1, (1, 3): 1}
+    if order == "Z/2xZ/1000":
+        g = GroupSpec(0, (2, 1000))
+    else:
+        g = GroupSpec(0, (1000, 2))
+        points = {(y, x): c for (x, y), c in points.items()}
+    f = FinMap(g, points)
+    assert annihilator._no_killing_character(g, f, 5)
+    assert decide_zero_annihilator(g, f).answer == "NO"
+    assert calls == []
+
+
 def test_precheck_bound_carries_the_exponent_of_k():
     # killed by (1/24, 5/8): the order 24 of eta divides no mann_bound(3) *
     # (x_1 - y_1), which is 6 or 12 here, only its multiple by exp(Z/8) = 8

@@ -154,6 +154,10 @@ def test_parse_nested_rows_for_grids():
             '{"group": {"free_rank": 2}, "f": [], "g": {"period": 2, "values": [[1], [1, 1, 1]]}}',
             "g.values: rows have different lengths",
         ),
+        (
+            '{"group": {"free_rank": 2}, "f": [], "g": {"period": 2, "values": [[1, 1], 1, 1]}}',
+            "g.values: mixes rows and scalars",
+        ),
     ],
 )
 def test_parse_rejections(text, needle):
@@ -451,6 +455,11 @@ def test_cli_slice(tmp_path, capsys):
         capsys, ["slice", _write(tmp_path, prob), "--w", "nope", "--x", "0,0"]
     )
     assert code == 3
+    code, payload, _ = _run(
+        capsys, ["slice", _write(tmp_path, prob), "--w", "1,0,0", "--x", "0,0"]
+    )
+    assert code == 3
+    assert payload["error"] == "--w: expected exactly two coordinates, got '1,0,0'"
     code, payload, _ = _run(
         capsys, ["slice", _write(tmp_path, DOMINO_Z, "z.json"), "--w", "1,0", "--x", "0,0"]
     )

