@@ -31,8 +31,18 @@ Z, or at 1 when every block sits on one value of x_1.  By Galois conjugacy the
 characters (1/m, kappa), one per kappa, decide order m, tested by the same
 prefilter and exact zero test.  When every candidate is non-zero the answer
 is NO; otherwise (a zero, a candidate beyond a cap, or K too large) the
-partition search runs as above, so a YES always comes from it, with its
-character, blocks and witness.
+partition search runs as above, and a YES on these groups comes from it, with
+its character, blocks and witness.
+
+On groups of free rank at least two a probe runs first instead and looks for
+a killing character of small order: orders m = 1, 2, ..., 6 in turn, one
+character per Galois class of exact order m, by the same prefilter and exact
+zero test.  Its first zero is a YES of least order, and its blocks are read
+off the now fixed phases: the first partition, in the search's order, whose
+blocks are all minimal vanishing.  The probe stops at the first order m with
+m^d * |K| > 6^3 on Z^d x K, so its work does not grow with d; when it
+finds no zero the partition search runs as above, proving NO or finding a
+YES of larger order.
 """
 
 from __future__ import annotations
@@ -40,6 +50,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from .cyclotomic import (
@@ -117,13 +129,15 @@ class AnnihilatorVerdict(_Record):
 # partition enumeration over identical-term symmetry
 
 
-def _iter_multiset_partitions(counts: Tuple[int, ...]):
+def _iter_multiset_partitions(counts: Tuple[int, ...], keep=None):
     """Partitions of a multiset (counts per term type) into blocks of size >= 2.
 
     A block is a count vector; a partition is emitted as a tuple of blocks in
     canonical order (size descending, then lexicographic), each multiset
     partition exactly once.  Treating equal terms as interchangeable is what
     keeps the search polynomial-ish in practice instead of Bell-number sized.
+    With ``keep``, only partitions whose blocks all pass ``keep(block)`` are
+    emitted, in the same order, and no partition with a failing block is built.
     """
     ntypes = len(counts)
     bottom_key = (-sum(counts) - 1, (0,) * ntypes)
@@ -147,6 +161,8 @@ def _iter_multiset_partitions(counts: Tuple[int, ...]):
         if total == 1:
             return
         for key, block in blocks_from(limit_key, counts):
+            if keep is not None and not keep(block):
+                continue
             rest = tuple(c - b for c, b in zip(counts, block))
             for tail in rec(rest, key):
                 yield (block,) + tail
@@ -360,13 +376,77 @@ def _no_killing_character(group: GroupSpec, f: FinMap, n: int) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# probe on free rank >= 2: one character per Galois class of each small order
+
+_PROBE_MAX_ORDER = 6
+# The probe stops at the first order m with m^d * |K| beyond this, on
+# Z^d x K: Z^3 is probed to order 6, Z^4 to order 3 and Z^8 at order 1 only.
+_PROBE_WORK_CAP = 6**3
+
+
+@lru_cache(maxsize=None)
+def _galois_classes(m: int, steps: tuple) -> list:
+    """The lexicographically least a of each class {u*a : u prime to m} with
+    gcd(m, a) = 1 and each a_i in range(0, m, steps[i])."""
+    units = [u for u in range(2, m) if math.gcd(u, m) == 1]
+    return [
+        a
+        for a in itertools.product(*(range(0, m, s) for s in steps))
+        if math.gcd(m, *a) == 1 and all(a <= tuple(u * ai % m for ai in a) for u in units)
+    ]
+
+
+def _small_order_character(group: GroupSpec, f: FinMap):
+    """A character of least order m <= _PROBE_MAX_ORDER that kills f-hat, or
+    None when none is shown within the work cap.
+
+    A character of order dividing m is x -> e(<a, x>/m): a free coordinate
+    takes any a_i mod m, a torsion coordinate Z/N one with N*a_i/m in Z.  Its
+    exact order is m iff gcd(m, a) = 1.  Galois conjugation by u prime to m
+    carries f-hat(a/m) to f-hat(u*a/m), so one a per class {u*a} settles
+    order m (at m = 1 the one test is sum(f) = 0).  A candidate passes the
+    float prefilter of the pre-check, then the exact zero test; an exact test
+    beyond the cyclotomic cap shows nothing, and the candidate is skipped.
+    No character at all kills f-hat when one coefficient outweighs all the
+    others, |c| > l1(f) - |c|, since f-hat is a sum of |c_x| times units.
+    """
+    coeffs = [abs(c) for c in f.entries.values()]
+    if 2 * max(coeffs) > sum(coeffs):
+        return None
+    (x0, c0), *rest = f.entries.items()
+    # f-hat up to the unit e(-<a, x0>/m): differences to the first point
+    diffs = [([y - y0 for y, y0 in zip(x, x0)], c) for x, c in rest]
+    size = math.prod(group.torsion)
+    for m in range(1, _PROBE_MAX_ORDER + 1):
+        if m**group.free_rank * size > _PROBE_WORK_CAP:
+            return None
+        w = [cmath.exp(-2j * cmath.pi * t / m) for t in range(m)]
+        steps = (1,) * group.free_rank + tuple(m // math.gcd(m, n) for n in group.torsion)
+        for a in _galois_classes(m, steps):
+            s = c0 + sum(c * w[sum(map(operator.mul, x, a)) % m] for x, c in diffs)
+            if abs(s) > _PREFILTER_TOL:
+                continue
+            chi = CharacterVector(group, tuple(RationalMod1(ai, m) for ai in a))
+            try:
+                if sum_roots_is_zero(chi.fourier_phases(f)):
+                    return chi
+            except CapacityError:
+                continue
+    return None
+
+
 def decide_zero_annihilator(group: GroupSpec, f: FinMap, cap: int = 8) -> AnnihilatorVerdict:
     """YES iff some finite-order character kills every Fourier term of f.
 
     Exhausts all partitions of the unit expansion into blocks of size >= 2 (up
     to identical-term symmetry) in canonical order — largest blocks first,
     lexicographic within — and reports the first success; NO means every
-    partition's constraint system was ruled out exactly.
+    partition's constraint system was ruled out exactly.  On free rank >= 2
+    a killing character of order at most 6 (within the probe's work cap) is
+    found first, by one test per Galois class of each order in turn; such a
+    YES is of least order, and its blocks are the first partition that
+    splits the fixed phases into minimal vanishing blocks.
 
     The expansion size ``n = l1_norm(f)`` must not exceed ``cap``; beyond the
     cap a CapacityError is raised so that an undecided instance can never read
@@ -382,14 +462,23 @@ def decide_zero_annihilator(group: GroupSpec, f: FinMap, cap: int = 8) -> Annihi
         raise CapacityError(f"l1 norm {n} exceeds the decision capacity {cap}")
     if _no_killing_character(group, f, n):
         return AnnihilatorVerdict("NO")
+    fixed = _small_order_character(group, f) if group.free_rank >= 2 else None
 
     # identical terms are adjacent in the unit expansion, so each term type
     # owns a contiguous run of term indices
     terms = unit_expansion(f)
     counts = [len(list(run)) for _, run in itertools.groupby(terms)]
     offsets = list(itertools.accumulate(counts, initial=0))
+    keep = None
+    if fixed is not None:
+        # the phases are fixed: keep the blocks that are minimal vanishing
+        phases = fixed.fourier_phases(f)
+        kinds = [phases[i] for i in offsets[:-1]]
 
-    for partition in _iter_multiset_partitions(tuple(counts)):
+        def keep(block):
+            return is_minimal_vanishing([p for p, k in zip(kinds, block) for _ in range(k)])
+
+    for partition in _iter_multiset_partitions(tuple(counts), keep):
         # each block takes the lowest unused terms of each type
         next_free = offsets[:-1]
         blocks = []
@@ -399,16 +488,24 @@ def decide_zero_annihilator(group: GroupSpec, f: FinMap, cap: int = 8) -> Annihi
                 idx.extend(range(next_free[ti], next_free[ti] + cnt))
                 next_free[ti] += cnt
             blocks.append(tuple(idx))
-        got = _solve_partition(group, terms, blocks)
-        if got is None:
-            continue
-        etas, xi0s, omegas = got
-        chi = CharacterVector(group, etas)
+        if fixed is None:
+            got = _solve_partition(group, terms, blocks)
+            if got is None:
+                continue
+            etas, xi0s, omegas = got
+            chi = CharacterVector(group, etas)
+        else:
+            # rotate each block so that its first phase is 0, as the gauge
+            # row of the partition search does
+            chi, xi0s = fixed, [-phases[pos[0]] for pos in blocks]
+            omegas = [tuple(phases[i] + x for i in pos) for pos, x in zip(blocks, xi0s)]
         witness = witness_periodic_annihilator(group, chi)
         if not verify_annihilator(f, witness):  # pragma: no cover - internal guard
             raise AssertionError("witness failed re-verification; decider is broken")
         trace = tuple(map(BlockTrace, blocks, omegas, xi0s))
         return AnnihilatorVerdict("YES", chi, witness, trace)
+    if fixed is not None:  # pragma: no cover - a vanishing sum splits into minimal ones
+        raise AssertionError("no minimal vanishing blocks at a killing character")
     return AnnihilatorVerdict("NO")
 
 

@@ -1,7 +1,9 @@
 """Decision procedure for integer annihilators f*a = 0 and its witnesses."""
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +26,7 @@ from abeltile import (
 )
 from abeltile.qzlinear import HALF, ZERO
 
-from _oracles import cyclic_annihilator_scan
+from _oracles import cyclic_annihilator_scan, zero_sum_of_roots
 
 Z = GroupSpec(1)
 Z2 = GroupSpec(2)
@@ -268,24 +270,27 @@ def test_finite_group_matches_character_scan():
         assert got == want, (n, f.entries)
 
 
+def _assert_trace_coherent(f, v):
+    terms = unit_expansion(f)
+    chi = v.witness_character
+    seen = []
+    for bt in v.partition_trace:
+        assert len(bt.term_indices) == len(bt.omega) >= 2
+        assert bt.omega[0] == ZERO  # gauge: first position pinned
+        assert sum_roots_is_zero(bt.omega)
+        seen.extend(bt.term_indices)
+        for idx, om in zip(bt.term_indices, bt.omega):
+            x, eps = terms[idx]
+            # block phase = transform phase shifted by the block offset
+            assert eps - chi.phase(x) == om - bt.xi0
+    assert sorted(seen) == list(range(len(terms)))
+
+
 def test_partition_trace_coherence():
     for f in [DOMINO, TRIPLE, FinMap(Z, {(0,): 2, (1,): -1, (2,): -1})]:
         v = decide_zero_annihilator(Z, f)
-        if not v.is_yes:
-            continue
-        terms = unit_expansion(f)
-        chi = v.witness_character
-        seen = []
-        for bt in v.partition_trace:
-            assert len(bt.term_indices) == len(bt.omega) >= 2
-            assert bt.omega[0] == ZERO  # gauge: first position pinned
-            assert sum_roots_is_zero(bt.omega)
-            seen.extend(bt.term_indices)
-            for idx, om in zip(bt.term_indices, bt.omega):
-                x, eps = terms[idx]
-                # block phase = transform phase shifted by the block offset
-                assert eps - chi.phase(x) == om - bt.xi0
-        assert sorted(seen) == list(range(len(terms)))
+        if v.is_yes:
+            _assert_trace_coherent(f, v)
 
 
 def test_verdict_dataclass_shape():
@@ -528,3 +533,106 @@ def test_precheck_falls_through_when_it_cannot_prove_no():
     assert not annihilator._no_killing_character(Z, far, 3)
     # rank two is out of scope
     assert not annihilator._no_killing_character(Z2, FinMap.delta(Z2, (0, 0), 2), 2)
+
+
+# --------------------------------------------- small-order probe on free rank >= 2
+
+# the two Z^3 instances of the benchmark's annihilator-rank pool that the
+# partition search took seconds on: killed at order 1 (sum(f) = 0) and at
+# order 2 by (0, 1/2, 1/2); (entries, least order, witness cells)
+Z3 = GroupSpec(3)
+SMALL_ORDER_Z3 = {
+    "rank-g4-l6-1": ({(0, 0, -1): -2, (3, -3, -2): 2, (3, -3, 1): 1, (3, 0, -1): -1}, 1, 1),
+    "rank-g4-l6-0": ({(-3, 2, -3): -1, (1, -3, 3): -2, (3, 0, -1): -2, (3, 1, 0): 1}, 2, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_ORDER_Z3))
+def test_probe_decides_z3_killers_of_order_one_and_two(monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError("the partition search must not run")
+
+    monkeypatch.setattr(annihilator, "_solve_partition", refuse)
+    entries, order, cells = SMALL_ORDER_Z3[name]
+    for h in [(0, 0, 0), (5, -2, 7), (-11, 4, -1)]:
+        f = FinMap(Z3, entries).shift(h)
+        v = decide_zero_annihilator(Z3, f)
+        assert v.is_yes and v.witness_character.order == order
+        assert len(v.witness_map.values) == cells
+        assert verify_annihilator(f, v.witness_map)
+        _assert_trace_coherent(f, v)
+
+
+def _oracle_least_order(group, f, top=6):
+    """Least m <= top such that some character with m * chi = 0 kills f-hat,
+    by the sympy zero test over every such character; None if there is none."""
+    units = [
+        (x, Fraction(int(c < 0), 2)) for x, c in f.entries.items() for _ in range(abs(c))
+    ]
+    for m in range(1, top + 1):
+        axes = [range(m)] * group.free_rank + [
+            [Fraction(j, n) for j in range(n) if m * j % n == 0] for n in group.torsion
+        ]
+        for k in itertools.product(*axes):
+            ks = [Fraction(a, m) for a in k[: group.free_rank]] + list(k[group.free_rank :])
+            if zero_sum_of_roots(eps - sum(a * xi for a, xi in zip(ks, x)) for x, eps in units):
+                return m
+    return None
+
+
+@pytest.mark.parametrize(
+    "group", [Z2, Z3, GroupSpec(2, (2,))], ids=["Z2", "Z3", "Z2xZ/2"]
+)
+def test_probe_finds_the_least_order_of_the_sympy_oracle(group):
+    rng = random.Random(f"probe-least-order-{group.free_rank}-{group.torsion}")
+    found = []
+    for _ in range(40):
+        while True:
+            f = _random_small(rng, group)
+            if 3 <= l1_norm(f) <= 6:
+                break
+        want = _oracle_least_order(group, f)
+        chi = annihilator._small_order_character(group, f)
+        assert (chi and chi.order) == want, (group, f.entries)
+        if want is not None:
+            v = decide_zero_annihilator(group, f)
+            assert v.witness_character == chi
+            assert verify_annihilator(f, v.witness_map)
+            _assert_trace_coherent(f, v)
+        found.append(want)
+    assert found.count(None) >= 5 and len(set(found)) >= 4
+
+
+def test_probe_work_does_not_grow_with_rank(monkeypatch):
+    # with the float prefilter off every tested character reaches the exact
+    # test: one per Galois class of each order up to the work cap
+    calls = []
+
+    def counted(phases):
+        calls.append(phases)
+        return False
+
+    monkeypatch.setattr(annihilator, "sum_roots_is_zero", counted)
+    monkeypatch.setattr(annihilator, "_PREFILTER_TOL", math.inf)
+
+    def no_instance(d):  # 2 + z + z^2 with |z| = 1 is never 0
+        e1 = (1,) + (0,) * (d - 1)
+        return FinMap(GroupSpec(d), {(0,) * d: 2, e1: 1, tuple(2 * v for v in e1): 1})
+
+    # Z^3 to order 6: 1 + 7 + 13 + 28 + 31 + 91 classes; Z^4 to order 3:
+    # 1 + 15 + 40; Z^8 and Z^40 at order 1 only
+    for d, classes in [(3, 171), (4, 56), (8, 1), (40, 1)]:
+        calls.clear()
+        assert annihilator._small_order_character(GroupSpec(d), no_instance(d)) is None
+        assert len(calls) == classes, d
+    monkeypatch.undo()
+    assert decide_zero_annihilator(GroupSpec(8), no_instance(8)).answer == "NO"
+
+
+def test_probe_skips_a_character_past_the_exact_test_cap(monkeypatch):
+    def beyond_cap(phases):
+        raise CapacityError("zero test beyond the cap")
+
+    monkeypatch.setattr(annihilator, "sum_roots_is_zero", beyond_cap)
+    f = FinMap(Z2, {(0, 0): 1, (1, 0): -1})  # killed by the trivial character
+    assert annihilator._small_order_character(Z2, f) is None

@@ -234,6 +234,26 @@ def test_cli_decide_zero_refuses_a_witness_beyond_the_cell_cap(tmp_path, capsys)
     assert f"witness of {2**40} cells" in payload["error"]
 
 
+def test_cli_decide_zero_order_two_on_z3(tmp_path, capsys):
+    # killed by (0, 1/2, 1/2): an 8-cell witness, where the partition search
+    # alone would take seconds and find an order-150 character
+    z3 = {
+        "group": {"free_rank": 3},
+        "f": [
+            {"elem": [-3, 2, -3], "coeff": -1},
+            {"elem": [1, -3, 3], "coeff": -2},
+            {"elem": [3, 0, -1], "coeff": -2},
+            {"elem": [3, 1, 0], "coeff": 1},
+        ],
+    }
+    code, payload, _ = _run(capsys, ["decide-zero", _write(tmp_path, z3)])
+    assert code == 0
+    cert = payload["certificate"]
+    assert cert["character"] == ["0/1", "1/2", "1/2"]
+    assert cert["witness"]["period"] == 2 and len(cert["witness"]["values"]) == 8
+    assert [len(b["terms"]) for b in cert["blocks"]] == [2, 2, 2]
+
+
 def test_cli_decide_zero_no_on_far_apart_points(tmp_path, capsys):
     # a NO, not a crash: the Q/Z solve for this f has shift moduli near 10^10
     far = {
