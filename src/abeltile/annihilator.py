@@ -3,7 +3,9 @@ an explicit periodic witness when it does.
 
 Route: expand f into a signed sum of n deltas (signs become phase offsets 0
 or 1/2), then look for a finite-order character whose term phases split into
-blocks, each a minimal vanishing sum of roots of unity.  Per candidate
+blocks, each a minimal vanishing sum of roots of unity.  The blocks only
+steer the search: a YES is certified by its character and the periodic
+witness built from it, which verify_annihilator re-checks.  Per candidate
 partition the block constraints become one integer linear system over Q/Z:
 
   * a gauge row per block pins the first phase of the block to 0 (rotation
@@ -31,18 +33,15 @@ Z, or at 1 when every block sits on one value of x_1.  By Galois conjugacy the
 characters (1/m, kappa), one per kappa, decide order m, tested by the same
 prefilter and exact zero test.  When every candidate is non-zero the answer
 is NO; otherwise (a zero, a candidate beyond a cap, or K too large) the
-partition search runs as above, and a YES on these groups comes from it, with
-its character, blocks and witness.
+partition search runs as above, and a YES on these groups comes from it.
 
 On groups of free rank at least two a probe runs first instead and looks for
 a killing character of small order: orders m = 1, 2, ..., 6 in turn, one
 character per Galois class of exact order m, by the same prefilter and exact
-zero test.  Its first zero is a YES of least order, and its blocks are read
-off the now fixed phases: the first partition, in the search's order, whose
-blocks are all minimal vanishing.  The probe stops at the first order m with
-m^d * |K| > 6^3 on Z^d x K, so its work does not grow with d; when it
-finds no zero the partition search runs as above, proving NO or finding a
-YES of larger order.
+zero test.  Its first zero is a YES of least order, and no partition is
+searched.  The probe stops at the first order m with m^d * |K| > 6^3 on
+Z^d x K, so its work does not grow with d; when it finds no zero the
+partition search runs as above, proving NO or finding a YES of larger order.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from .qzlinear import ZERO, IntMatrix, RationalMod1, qz_solution_set
 
 __all__ = [
     "CharacterVector",
-    "BlockTrace",
     "AnnihilatorVerdict",
     "decide_zero_annihilator",
     "witness_periodic_annihilator",
@@ -111,14 +109,10 @@ class CharacterVector(_Record):
         return [eps - self.phase(x) for x, eps in unit_expansion(f)]
 
 
-class BlockTrace(_Record):
-    __slots__ = ("term_indices", "omega", "xi0")
-
-
 class AnnihilatorVerdict(_Record):
     # answer: "YES" | "NO"
-    __slots__ = ("answer", "witness_character", "witness_map", "partition_trace")
-    _defaults = dict(witness_character=None, witness_map=None, partition_trace=None)
+    __slots__ = ("answer", "witness_character", "witness_map")
+    _defaults = dict(witness_character=None, witness_map=None)
 
     @property
     def is_yes(self) -> bool:
@@ -129,15 +123,13 @@ class AnnihilatorVerdict(_Record):
 # partition enumeration over identical-term symmetry
 
 
-def _iter_multiset_partitions(counts: Tuple[int, ...], keep=None):
+def _iter_multiset_partitions(counts: Tuple[int, ...]):
     """Partitions of a multiset (counts per term type) into blocks of size >= 2.
 
     A block is a count vector; a partition is emitted as a tuple of blocks in
     canonical order (size descending, then lexicographic), each multiset
     partition exactly once.  Treating equal terms as interchangeable is what
     keeps the search polynomial-ish in practice instead of Bell-number sized.
-    With ``keep``, only partitions whose blocks all pass ``keep(block)`` are
-    emitted, in the same order, and no partition with a failing block is built.
     """
     ntypes = len(counts)
     bottom_key = (-sum(counts) - 1, (0,) * ntypes)
@@ -161,8 +153,6 @@ def _iter_multiset_partitions(counts: Tuple[int, ...], keep=None):
         if total == 1:
             return
         for key, block in blocks_from(limit_key, counts):
-            if keep is not None and not keep(block):
-                continue
             rest = tuple(c - b for c, b in zip(counts, block))
             for tail in rec(rest, key):
                 yield (block,) + tail
@@ -186,7 +176,8 @@ _WITNESS_CAP = 10**6
 
 
 def _solve_partition(group: GroupSpec, terms, blocks):
-    """Try one partition; return (etas, xi0s, block omegas) or None.
+    """Try one partition; return the phases of a character whose term phases
+    split into minimal vanishing blocks this way, or None.
 
     ``terms`` is the unit expansion ``(elem, eps)`` of f; ``blocks`` a tuple
     of blocks of term indices.
@@ -279,8 +270,7 @@ def _solve_partition(group: GroupSpec, terms, blocks):
             tuple(RationalMod1(nums[p], denom) for p in range(lo, hi)) for lo, hi in spans
         ]
         if all(is_minimal_vanishing(om) for om in omegas):
-            x = sol.at(ts)
-            return x[:r], x[r:], omegas
+            return sol.at(ts)[:r]
     return None
 
 
@@ -441,12 +431,12 @@ def decide_zero_annihilator(group: GroupSpec, f: FinMap, cap: int = 8) -> Annihi
 
     Exhausts all partitions of the unit expansion into blocks of size >= 2 (up
     to identical-term symmetry) in canonical order — largest blocks first,
-    lexicographic within — and reports the first success; NO means every
-    partition's constraint system was ruled out exactly.  On free rank >= 2
-    a killing character of order at most 6 (within the probe's work cap) is
-    found first, by one test per Galois class of each order in turn; such a
-    YES is of least order, and its blocks are the first partition that
-    splits the fixed phases into minimal vanishing blocks.
+    lexicographic within — and reports the character of the first success;
+    NO means every partition's constraint system was ruled out exactly.  On
+    free rank >= 2 a killing character of order at most 6 (within the
+    probe's work cap) is found first, by one test per Galois class of each
+    order in turn, and such a YES is of least order.  A YES carries the
+    character and the periodic witness built from it, re-verified exactly.
 
     The expansion size ``n = l1_norm(f)`` must not exceed ``cap``; beyond the
     cap a CapacityError is raised so that an undecided instance can never read
@@ -462,51 +452,33 @@ def decide_zero_annihilator(group: GroupSpec, f: FinMap, cap: int = 8) -> Annihi
         raise CapacityError(f"l1 norm {n} exceeds the decision capacity {cap}")
     if _no_killing_character(group, f, n):
         return AnnihilatorVerdict("NO")
-    fixed = _small_order_character(group, f) if group.free_rank >= 2 else None
-
-    # identical terms are adjacent in the unit expansion, so each term type
-    # owns a contiguous run of term indices
-    terms = unit_expansion(f)
-    counts = [len(list(run)) for _, run in itertools.groupby(terms)]
-    offsets = list(itertools.accumulate(counts, initial=0))
-    keep = None
-    if fixed is not None:
-        # the phases are fixed: keep the blocks that are minimal vanishing
-        phases = fixed.fourier_phases(f)
-        kinds = [phases[i] for i in offsets[:-1]]
-
-        def keep(block):
-            return is_minimal_vanishing([p for p, k in zip(kinds, block) for _ in range(k)])
-
-    for partition in _iter_multiset_partitions(tuple(counts), keep):
-        # each block takes the lowest unused terms of each type
-        next_free = offsets[:-1]
-        blocks = []
-        for block in partition:
-            idx = []
-            for ti, cnt in enumerate(block):
-                idx.extend(range(next_free[ti], next_free[ti] + cnt))
-                next_free[ti] += cnt
-            blocks.append(tuple(idx))
-        if fixed is None:
-            got = _solve_partition(group, terms, blocks)
-            if got is None:
-                continue
-            etas, xi0s, omegas = got
-            chi = CharacterVector(group, etas)
+    chi = _small_order_character(group, f) if group.free_rank >= 2 else None
+    if chi is None:
+        # identical terms are adjacent in the unit expansion, so each term
+        # type owns a contiguous run of term indices
+        terms = unit_expansion(f)
+        counts = [len(list(run)) for _, run in itertools.groupby(terms)]
+        offsets = list(itertools.accumulate(counts, initial=0))
+        for partition in _iter_multiset_partitions(tuple(counts)):
+            # each block takes the lowest unused terms of each type
+            next_free = offsets[:-1]
+            blocks = []
+            for block in partition:
+                idx = []
+                for ti, cnt in enumerate(block):
+                    idx.extend(range(next_free[ti], next_free[ti] + cnt))
+                    next_free[ti] += cnt
+                blocks.append(tuple(idx))
+            etas = _solve_partition(group, terms, blocks)
+            if etas is not None:
+                chi = CharacterVector(group, etas)
+                break
         else:
-            # rotate each block so that its first phase is 0, as the gauge
-            # row of the partition search does
-            chi, xi0s = fixed, [-phases[pos[0]] for pos in blocks]
-            omegas = [tuple(phases[i] + x for i in pos) for pos, x in zip(blocks, xi0s)]
-        witness = witness_periodic_annihilator(group, chi)
-        if not verify_annihilator(f, witness):  # pragma: no cover - internal guard
-            raise AssertionError("witness failed re-verification; decider is broken")
-        trace = tuple(map(BlockTrace, blocks, omegas, xi0s))
-        return AnnihilatorVerdict("YES", chi, witness, trace)
-    if fixed is not None:  # pragma: no cover - a vanishing sum splits into minimal ones
-        raise AssertionError("no minimal vanishing blocks at a killing character")
-    return AnnihilatorVerdict("NO")
+            return AnnihilatorVerdict("NO")
+    witness = witness_periodic_annihilator(group, chi)
+    if not verify_annihilator(f, witness):  # pragma: no cover - internal guard
+        raise AssertionError("witness failed re-verification; decider is broken")
+    return AnnihilatorVerdict("YES", chi, witness)
 
 
 def witness_periodic_annihilator(group: GroupSpec, chi: CharacterVector) -> PeriodicMap:

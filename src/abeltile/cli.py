@@ -225,19 +225,10 @@ def _cmd_decide_annihilator(ns, problem: ProblemFile) -> Tuple[dict, int]:
     verdict = globals()[ns.decide](problem.group, problem.f, cap=ns.cap_n)
     payload = {"answer": verdict.answer}
     if verdict.is_yes:
-        chi = verdict.witness_character
         wit = verdict.witness_map
         payload["certificate"] = {
-            "character": [str(e) for e in chi.etas],
+            "character": [str(e) for e in verdict.witness_character.etas],
             "witness": {"period": wit.period, "values": list(wit.values)},
-            "blocks": [
-                {
-                    "terms": list(b.term_indices),
-                    "omega": [str(o) for o in b.omega],
-                    "xi0": str(b.xi0),
-                }
-                for b in verdict.partition_trace
-            ],
         }
     return payload, 0 if verdict.is_yes else 1
 

@@ -133,9 +133,7 @@ def test_large_order_witness_reverifies():
 def test_decider_is_deterministic():
     a = decide_zero_annihilator(Z, TRIPLE)
     b = decide_zero_annihilator(Z, TRIPLE)
-    assert a.witness_character.etas == b.witness_character.etas
-    assert a.witness_map.values == b.witness_map.values
-    assert a.partition_trace == b.partition_trace
+    assert a.is_yes and a == b
 
 
 # -------------------------------------------------------- CharacterVector
@@ -270,32 +268,27 @@ def test_finite_group_matches_character_scan():
         assert got == want, (n, f.entries)
 
 
-def _assert_trace_coherent(f, v):
-    terms = unit_expansion(f)
-    chi = v.witness_character
-    seen = []
-    for bt in v.partition_trace:
-        assert len(bt.term_indices) == len(bt.omega) >= 2
-        assert bt.omega[0] == ZERO  # gauge: first position pinned
-        assert sum_roots_is_zero(bt.omega)
-        seen.extend(bt.term_indices)
-        for idx, om in zip(bt.term_indices, bt.omega):
-            x, eps = terms[idx]
-            # block phase = transform phase shifted by the block offset
-            assert eps - chi.phase(x) == om - bt.xi0
-    assert sorted(seen) == list(range(len(terms)))
+def _assert_yes_certificate(f, v):
+    """The whole YES certificate: the character kills f-hat, and the witness
+    built from it has the character's period, is 1 at the identity and
+    annihilates f."""
+    chi, witness = v.witness_character, v.witness_map
+    assert v.is_yes and sum_roots_is_zero(chi.fourier_phases(f))
+    assert witness.period == chi.order
+    assert witness.value((0,) * f.group.rank) == 1
+    assert verify_annihilator(f, witness)
 
 
-def test_partition_trace_coherence():
+def test_yes_certificate_coherence():
     for f in [DOMINO, TRIPLE, FinMap(Z, {(0,): 2, (1,): -1, (2,): -1})]:
         v = decide_zero_annihilator(Z, f)
         if v.is_yes:
-            _assert_trace_coherent(f, v)
+            _assert_yes_certificate(f, v)
 
 
 def test_verdict_dataclass_shape():
     v = AnnihilatorVerdict("NO")
-    assert v.partition_trace is None and not v.is_yes
+    assert v.witness_character is None and v.witness_map is None and not v.is_yes
 
 
 # ------------------------------------------------ rank-one character pre-check
@@ -447,10 +440,8 @@ def test_precheck_leaves_yes_certificate_to_partition_search(monkeypatch):
     v = decide_zero_annihilator(g, f)
     assert v.is_yes and calls
     assert [str(e) for e in v.witness_character.etas] == ["1/6"]
-    assert len(v.partition_trace) == 3
     assert v.witness_character == reference.witness_character
     assert v.witness_map.values == reference.witness_map.values
-    assert v.partition_trace == reference.partition_trace
 
 
 def test_precheck_no_on_far_apart_points_of_z(monkeypatch):
@@ -552,6 +543,7 @@ def test_probe_decides_z3_killers_of_order_one_and_two(monkeypatch, name):
     def refuse(*args):
         raise AssertionError("the partition search must not run")
 
+    monkeypatch.setattr(annihilator, "_iter_multiset_partitions", refuse)
     monkeypatch.setattr(annihilator, "_solve_partition", refuse)
     entries, order, cells = SMALL_ORDER_Z3[name]
     for h in [(0, 0, 0), (5, -2, 7), (-11, 4, -1)]:
@@ -559,8 +551,17 @@ def test_probe_decides_z3_killers_of_order_one_and_two(monkeypatch, name):
         v = decide_zero_annihilator(Z3, f)
         assert v.is_yes and v.witness_character.order == order
         assert len(v.witness_map.values) == cells
-        assert verify_annihilator(f, v.witness_map)
-        _assert_trace_coherent(f, v)
+        _assert_yes_certificate(f, v)
+
+
+def test_partition_search_certifies_a_yes_past_the_probe_orders():
+    # seven cells in a row: the least killing order is 7, past the probe's
+    # orders on Z^2, so the character comes from the partition search
+    f = FinMap.indicator(Z2, [(k, 0) for k in range(7)])
+    assert annihilator._small_order_character(Z2, f) is None
+    v = decide_zero_annihilator(Z2, f)
+    assert [str(e) for e in v.witness_character.etas] == ["1/7", "0/1"]
+    _assert_yes_certificate(f, v)
 
 
 def _oracle_least_order(group, f, top=6):
@@ -597,8 +598,7 @@ def test_probe_finds_the_least_order_of_the_sympy_oracle(group):
         if want is not None:
             v = decide_zero_annihilator(group, f)
             assert v.witness_character == chi
-            assert verify_annihilator(f, v.witness_map)
-            _assert_trace_coherent(f, v)
+            _assert_yes_certificate(f, v)
         found.append(want)
     assert found.count(None) >= 5 and len(set(found)) >= 4
 

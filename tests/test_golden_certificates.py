@@ -4,7 +4,7 @@
 and the ``decide-zero`` JSON payload less ``timing_ms``, with the witness
 values replaced by their count and SHA-256.  The test recomputes every entry
 and names each one that differs, so a change that moves a character, a
-period, a witness or a block trace shows up here even when the verdict holds.
+period or a witness shows up here even when the verdict holds.
 Its inputs are every 100th member of the exhaustive cyclic family of the
 acceptance suite and the fixed rank <= 2 inputs of the other suites.
 

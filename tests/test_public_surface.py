@@ -11,7 +11,7 @@ import pytest
 
 import abeltile
 from abeltile import (
-    HALF, ZERO, AnnihilatorVerdict, BlockTrace, CharacterVector, CycElement,
+    HALF, ZERO, AnnihilatorVerdict, CharacterVector, CycElement,
     DilationReport, FinMap, GroupSpec, IntMatrix, MinimalTuple, MultitileVerdict,
     QzSolutionSet, SearchBudget, SnfDecomposition, TorusAssignment, quotient_by,
     smith_normal_form,
@@ -25,10 +25,10 @@ LIBRARY_MODULES = sorted(
 )
 
 # abeltile.__all__ as it stood when it was still written out by hand, less
-# SliceReport, Window2D, cesaro_average and slicing_periodicity_check, which
-# were removed later
+# BlockTrace, SliceReport, Window2D, cesaro_average and
+# slicing_periodicity_check, which were removed later
 EARLIER_NAMES = (
-    "AnnihilatorVerdict", "BlockTrace", "BudgetExceededError", "CapacityError",
+    "AnnihilatorVerdict", "BudgetExceededError", "CapacityError",
     "CharacterVector", "CycElement", "DilationReport", "FinMap", "GroupSpec", "HALF",
     "InputError", "IntMatrix", "MinimalTuple", "MultitileVerdict", "PeriodicMap",
     "Quotient", "QzSolutionSet", "RationalMod1", "SearchBudget", "SnfDecomposition",
@@ -72,13 +72,8 @@ RECORDS = [
      "GroupSpec(free_rank=1, torsion=(2,))"),
     (lambda: CharacterVector(Z1, (HALF,)), ("group", "etas"),
      "CharacterVector(group=GroupSpec(free_rank=1, torsion=()), etas=(RationalMod1(1, 2),))"),
-    (lambda: BlockTrace((0, 1), (ZERO, HALF), ZERO), ("term_indices", "omega", "xi0"),
-     "BlockTrace(term_indices=(0, 1), omega=(RationalMod1(0, 1), RationalMod1(1, 2)),"
-     " xi0=RationalMod1(0, 1))"),
-    (lambda: AnnihilatorVerdict("NO"),
-     ("answer", "witness_character", "witness_map", "partition_trace"),
-     "AnnihilatorVerdict(answer='NO', witness_character=None, witness_map=None,"
-     " partition_trace=None)"),
+    (lambda: AnnihilatorVerdict("NO"), ("answer", "witness_character", "witness_map"),
+     "AnnihilatorVerdict(answer='NO', witness_character=None, witness_map=None)"),
     (lambda: CycElement(3, (1, 0)), ("level", "coeffs"), "CycElement(level=3, coeffs=(1, 0))"),
     (lambda: MinimalTuple(2, (ZERO, HALF)), ("k", "entries"),
      "MinimalTuple(k=2, entries=(RationalMod1(0, 1), RationalMod1(1, 2)))"),
@@ -154,7 +149,7 @@ def test_record_defaults():
     assert SearchBudget(max_nodes=5) == SearchBudget(12, 6, 5) != SearchBudget()
     assert MultitileVerdict("NO") == MultitileVerdict("NO", None, None, None, 0)
     assert MultitileVerdict("NO").nodes_used == 0
-    assert AnnihilatorVerdict("NO") == AnnihilatorVerdict("NO", None, None, None)
+    assert AnnihilatorVerdict("NO") == AnnihilatorVerdict("NO", None, None)
     p = ProblemFile(Z1, FinMap(Z1))
     assert (p.g, p.a, p.cert, p.budget, p.dilation) == (None, None, None, SearchBudget(), None)
 
